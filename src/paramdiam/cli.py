@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 
@@ -77,17 +76,20 @@ def _trace_sink(enabled: bool):
     return sink
 
 
-def _pick_auto(g: Graph, cograph_threshold: int, hindex_threshold: int) -> str:
+def _pick_auto(
+    g: Graph, cograph_threshold: int, hindex_threshold: int
+) -> tuple[str, set[int]]:
+    """The algorithm to run, plus the cograph modulator built to choose it."""
     k_fes = g.m - g.n + 1
-    k_cog = len(cograph_modulator(g))
+    k = cograph_modulator(g)
     h = h_index(g)
-    if k_fes <= min(k_cog, h):
-        return "fes"
-    if k_cog <= cograph_threshold:
-        return "cograph"
+    if k_fes <= min(len(k), h):
+        return "fes", k
+    if len(k) <= cograph_threshold:
+        return "cograph", k
     if h <= hindex_threshold:
-        return "hindex-diam"
-    return "naive"
+        return "hindex-diam", k
+    return "naive", k
 
 
 def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple[int, dict]:
@@ -125,7 +127,9 @@ def cmd_solve(args) -> int:
     modulator = _load_modulator(args.modulator) if args.modulator else None
     algo = args.algo
     if algo == "auto":
-        algo = _pick_auto(g, args.cograph_threshold, args.hindex_threshold)
+        algo, k = _pick_auto(g, args.cograph_threshold, args.hindex_threshold)
+        if algo == "cograph" and modulator is None:
+            modulator = k
     start = time.perf_counter()
     diameter, used = _run_solver(g, algo, modulator, _trace_sink(args.trace))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -239,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulator", help="file of vertex ids for modulator-based algos")
     p.add_argument("--verify", action="store_true", help="recompute with the naive oracle")
     p.add_argument("--trace", action="store_true", help="JSON trace lines on stderr")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--cograph-threshold", type=int, default=12)
     p.add_argument("--hindex-threshold", type=int, default=40)
     p.set_defaults(func=cmd_solve)
@@ -271,13 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV path; stdout when omitted")
     p.set_defaults(func=cmd_bench)
     return parser
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PARAMDIAM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def main(argv: list[str] | None = None) -> int:

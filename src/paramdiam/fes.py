@@ -2,8 +2,15 @@
 
 Pipeline: peel degree-one vertices and pending cycles with two weight-
 carrying reduction rules, decompose what is left into high-degree vertices,
-maximal paths and pending cycles, then combine one BFS per high vertex with
-O(length) sweeps over single paths and path pairs.
+maximal paths and pending cycles, then answer three cases:
+
+1. pairs touching a high vertex, from one BFS per high vertex, kept as the
+   rows of an int32 matrix (high x core vertices);
+2. pairs inside one path, by an O(length) cyclic sweep per path;
+3. pairs in two different paths, by one sweep per path over the interiors
+   of all later paths at once: an interior is reached only through its own
+   path's endpoints, so the endpoint rows of the matrix give every distance
+   the sweep needs.
 
 The reduction state is a :class:`WeightedDiameterInstance`: a shrinking
 graph, a per-vertex weight ``pen`` recording the deepest peeled vertex
@@ -14,10 +21,11 @@ max(s, weighted diameter of the current graph).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
 from .graph import UNREACHABLE, Graph, _bfs_dist, is_connected
@@ -332,25 +340,23 @@ def decompose(g: Graph) -> PathCycleDecomposition:
 
 def case1_high_bfs(
     g: Graph, pen: Sequence[int], dec: PathCycleDecomposition
-) -> tuple[int, dict[int, list[int]]]:
-    """BFS per high vertex; best pen-weighted distance touching one, plus rows."""
+) -> tuple[int, np.ndarray]:
+    """BFS per high vertex; best pen-weighted distance touching one, plus rows.
+
+    Row ``r`` of the returned int32 matrix holds the distances from
+    ``dec.high[r]`` to every vertex of ``g``.
+    """
     best = 0
-    rows: dict[int, list[int]] = {}
-    found = False
-    for v in dec.high:
-        row = _bfs_dist(g.adjacency, g.n, v)
-        rows[v] = row
-        pv = pen[v]
-        for u in range(g.n):
-            if u == v:
-                continue
-            d = row[u]
-            if d == UNREACHABLE:
-                raise DisconnectedGraphError("reduced graph is not connected")
-            cand = pv + d + pen[u]
-            if not found or cand > best:
-                best = cand
-                found = True
+    rows = np.empty((len(dec.high), g.n), dtype=np.int32)
+    pen_arr = np.asarray(pen, dtype=np.int32)
+    for r, v in enumerate(dec.high):
+        row = rows[r]
+        row[:] = _bfs_dist(g.adjacency, g.n, v)
+        if row.min() == UNREACHABLE:
+            raise DisconnectedGraphError("reduced graph is not connected")
+        score = row + pen_arr
+        score[v] = -1  # pairs exclude u == v
+        best = max(best, pen[v] + int(score.max()))
     return best, rows
 
 
@@ -371,6 +377,34 @@ def case2_same_path(pens: Sequence[int], endpoint_distance: int) -> int | None:
     )
 
 
+_NEG = np.iinfo(np.int64).min // 4  # below any real candidate, safe to add to
+
+
+def _path_sweep(pens: np.ndarray, f: np.ndarray, g: np.ndarray, w: np.ndarray) -> int:
+    """Best pen-weighted distance from an interior of one path to a set of vertices.
+
+    The path has endpoints x_0 and x_a and interior weights ``pens[i - 1]``
+    for i = 1..a-1.  Target j has weight ``w[j]`` and distance
+    min(i + f[j], a - i + g[j]) from x_i, where f and g are its distances
+    from x_0 and x_a.  The route through x_0 wins exactly when
+    g[j] - f[j] >= 2i - a, so sorting the targets once by g - f splits every
+    i into a via-x_0 suffix and a via-x_a prefix, each answered by a running
+    maximum.  Needs at least one interior and one target.
+    """
+    a = len(pens) + 1
+    t = g - f
+    order = np.argsort(t)
+    ts = t[order]
+    wf = (w + f)[order]
+    wg = (w + g)[order]
+    suffix_wf = np.append(np.maximum.accumulate(wf[::-1])[::-1], _NEG)
+    prefix_wg = np.insert(np.maximum.accumulate(wg), 0, _NEG)
+    i = np.arange(1, a)
+    cut = np.searchsorted(ts, 2 * i - a)
+    cand = np.maximum(i + suffix_wf[cut], (a - i) + prefix_wg[cut])
+    return int((cand + pens).max())
+
+
 def case3_path_pair(
     pens1: Sequence[int],
     pens2: Sequence[int],
@@ -383,40 +417,47 @@ def case3_path_pair(
 
     The four arguments are the graph distances between the path endpoints
     (x_0/x_a of the first path to y_0/y_b of the second).  Interior-to-
-    interior routes must exit through one endpoint of each path, so
-    D(i, j) = min over the four endpoint combinations of the summed legs.
-
-    Sweep: with f(j)/g(j) the best continuation from y_j seen from x_0/x_a,
-    the route through x_0 wins exactly when g(j) - f(j) >= 2i - a.  Sorting
-    the y-interiors once by g - f splits every i into a via-x_0 zone and a
-    via-x_a zone, each answered by a precomputed prefix/suffix maximum.
+    interior routes must exit through one endpoint of each path, so the
+    distance from x_0 to y_j is f(j) = min(d00 + j, d0b + b - j), likewise
+    g(j) from x_a, and :func:`_path_sweep` does the rest.
     """
     a = len(pens1) - 1
     b = len(pens2) - 1
     if a < 2 or b < 2:
         return None
-    entries = []  # (t, pen+f, pen+g)
-    for j in range(1, b):
-        f = min(d00 + j, d0b + (b - j))
-        g = min(da0 + j, dab + (b - j))
-        entries.append((g - f, pens2[j] + f, pens2[j] + g))
-    entries.sort()
-    nb = len(entries)
-    ts = [e[0] for e in entries]
-    suffix_pf = [0] * (nb + 1)
-    suffix_pf[nb] = -(1 << 62)
-    for idx in range(nb - 1, -1, -1):
-        suffix_pf[idx] = max(suffix_pf[idx + 1], entries[idx][1])
-    prefix_pg = [-(1 << 62)] * (nb + 1)
-    for idx in range(nb):
-        prefix_pg[idx + 1] = max(prefix_pg[idx], entries[idx][2])
-    best = None
-    for i in range(1, a):
-        cut = bisect_left(ts, 2 * i - a)
-        cand = max(i + suffix_pf[cut], (a - i) + prefix_pg[cut])
-        cand += pens1[i]
-        if best is None or cand > best:
-            best = cand
+    j = np.arange(1, b, dtype=np.int64)
+    f = np.minimum(d00 + j, d0b + (b - j))
+    g = np.minimum(da0 + j, dab + (b - j))
+    w = np.asarray(pens2[1:b], dtype=np.int64)
+    return _path_sweep(np.asarray(pens1[1:a], dtype=np.int64), f, g, w)
+
+
+def case3_all_paths(
+    rows: np.ndarray, row_of: dict[int, int], pen: Sequence[int], paths: list[list[int]]
+) -> int:
+    """Best pen-weighted distance between interiors of two distinct paths.
+
+    An interior w of another path is reached from x_i only through x_0 or
+    x_a, and the rows of those endpoints already hold the exact distance to
+    w, so each path is swept once against the interiors of every later path
+    together.  Later paths only: each unordered pair is covered once and a
+    path's own interiors, which case 2 handles, never enter.  0 when fewer
+    than two paths have interiors.
+    """
+    paths = [p for p in paths if len(p) >= 3]
+    interior = np.fromiter((v for p in paths for v in p[1:-1]), dtype=np.int64)
+    pen_arr = np.asarray(pen, dtype=np.int64)
+    w_all = pen_arr[interior]
+    best = 0
+    start = 0
+    for path in paths:
+        start += len(path) - 2
+        if start == len(interior):
+            break
+        others = interior[start:]
+        f = rows[row_of[path[0]], others].astype(np.int64)
+        g = rows[row_of[path[-1]], others].astype(np.int64)
+        best = max(best, _path_sweep(pen_arr[path[1:-1]], f, g, w_all[start:]))
     return best
 
 
@@ -437,32 +478,10 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     assert not dec.cycles, "pending cycles must not survive reduction"
     s1, rows = case1_high_bfs(red, pen, dec)
     best = max(inst.s, s1)
-    path_pens = []
+    row_of = {v: r for r, v in enumerate(dec.high)}
     for path in dec.paths:
         pens = [pen[v] for v in path]
-        path_pens.append(pens)
-        d0a = rows[path[0]][path[-1]]
-        cand = case2_same_path(pens, d0a)
+        cand = case2_same_path(pens, int(rows[row_of[path[0]], path[-1]]))
         if cand is not None and cand > best:
             best = cand
-    for i in range(len(dec.paths)):
-        p1 = dec.paths[i]
-        if len(p1) < 3:
-            continue
-        x0, xa = p1[0], p1[-1]
-        for j in range(i + 1, len(dec.paths)):
-            p2 = dec.paths[j]
-            if len(p2) < 3:
-                continue
-            y0, yb = p2[0], p2[-1]
-            cand = case3_path_pair(
-                path_pens[i],
-                path_pens[j],
-                rows[x0][y0],
-                rows[x0][yb],
-                rows[xa][y0],
-                rows[xa][yb],
-            )
-            if cand is not None and cand > best:
-                best = cand
-    return best
+    return max(best, case3_all_paths(rows, row_of, pen, dec.paths))

@@ -21,6 +21,7 @@ from paramdiam import (
     solve_fes,
     weighted_diameter_oracle,
 )
+from paramdiam.fes import case1_high_bfs, case3_all_paths
 from oracles import (
     case2_quadratic,
     case3_quadratic,
@@ -280,3 +281,82 @@ class TestSolve:
             k = rng.randrange(0, min(10, n * (n - 1) // 2 - (n - 1) + 1))
             g = gen_tree_plus_k(n, k, seed)
             assert solve_fes(g) == naive_diameter(g)
+
+
+def reduced_core(g):
+    """(core graph, pen, decomposition) of a graph after both reduction rules."""
+    inst = WeightedDiameterInstance(g)
+    reduce_exhaustively(inst)
+    red, _, pen = inst.compacted()
+    return red, pen, decompose(red)
+
+
+def case3_both_ways(red, pen, dec):
+    """(max of case3_path_pair over all path pairs, case3_all_paths) of a core."""
+    _, rows = case1_high_bfs(red, pen, dec)
+    row_of = {v: r for r, v in enumerate(dec.high)}
+    paths = dec.paths
+    pair_best = 0
+    for i, p1 in enumerate(paths):
+        x0, xa = row_of[p1[0]], row_of[p1[-1]]
+        for p2 in paths[i + 1:]:
+            y0, yb = p2[0], p2[-1]
+            cand = case3_path_pair(
+                [pen[v] for v in p1],
+                [pen[v] for v in p2],
+                int(rows[x0, y0]),
+                int(rows[x0, yb]),
+                int(rows[xa, y0]),
+                int(rows[xa, yb]),
+            )
+            if cand is not None:
+                pair_best = max(pair_best, cand)
+    return pair_best, case3_all_paths(rows, row_of, pen, paths)
+
+
+# (n, k) of tree-plus-k graphs whose reduced cores have dozens of paths
+CORE_SIZES = [(800, 120), (600, 80), (400, 20), (800, 60), (300, 40), (700, 100)]
+
+
+class TestPathSweep:
+    @pytest.mark.parametrize("seed", range(len(CORE_SIZES)))
+    def test_tree_plus_k_matches_naive(self, seed):
+        n, k = CORE_SIZES[seed]
+        g = gen_tree_plus_k(n, k, seed)
+        assert len(reduced_core(g)[2].paths) >= 24
+        assert solve_fes(g) == naive_diameter(g)
+
+    @pytest.mark.parametrize("seed", range(len(CORE_SIZES)))
+    def test_sweep_matches_every_path_pair(self, seed):
+        n, k = CORE_SIZES[seed]
+        red, pen, dec = reduced_core(gen_tree_plus_k(n, k, seed))
+        assert any(pen)
+        pair_best, swept = case3_both_ways(red, pen, dec)
+        assert pair_best > 0
+        assert swept == pair_best
+
+    def test_sweep_matches_every_path_pair_on_small_cores(self):
+        checked = 0
+        for seed in range(80):
+            rng = random.Random(seed)
+            red, pen, dec = reduced_core(
+                gen_tree_plus_k(rng.randrange(10, 60), rng.randrange(3, 12), seed)
+            )
+            if sum(len(p) >= 3 for p in dec.paths) < 2:
+                continue
+            pair_best, swept = case3_both_ways(red, pen, dec)
+            assert swept == pair_best
+            checked += 1
+        assert checked >= 40
+
+    def test_case1_excludes_the_vertex_itself(self):
+        # theta graph on high vertices 0 and 1, plus a pendant path of length
+        # 10 on vertex 0: after reduction pen[0] = 10, so pairing 0 with
+        # itself would claim 20, while the true diameter is 10 + 2 = 12
+        edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (0, 5)]
+        edges += [(v, v + 1) for v in range(5, 14)]
+        g = from_edge_list(edges, 15)
+        red, pen, dec = reduced_core(g)
+        assert 2 * max(pen) > 12
+        assert case1_high_bfs(red, pen, dec)[0] == 12
+        assert solve_fes(g) == naive_diameter(g) == 12
