@@ -79,10 +79,15 @@ def _trace_sink(enabled: bool):
 def _pick_auto(
     g: Graph, cograph_threshold: int, hindex_threshold: int
 ) -> tuple[str, set[int]]:
-    """The algorithm to run, plus the cograph modulator built to choose it."""
+    """The algorithm to run, plus the cograph modulator built to choose it.
+
+    The modulator is peeled only until it exceeds the largest size a rule
+    below compares it with, so it is complete whenever it is small enough
+    for the cograph route.
+    """
     k_fes = g.m - g.n + 1
-    k = cograph_modulator(g)
     h = h_index(g)
+    k = cograph_modulator(g, max(cograph_threshold, k_fes if k_fes <= h else 0))
     if k_fes <= min(len(k), h):
         return "fes", k
     if len(k) <= cograph_threshold:
@@ -126,8 +131,11 @@ def cmd_solve(args) -> int:
     g = load_edge_list(args.input)
     modulator = _load_modulator(args.modulator) if args.modulator else None
     algo = args.algo
+    select_ms = 0.0
     if algo == "auto":
+        start = time.perf_counter()
         algo, k = _pick_auto(g, args.cograph_threshold, args.hindex_threshold)
+        select_ms = (time.perf_counter() - start) * 1000.0
         if algo == "cograph" and modulator is None:
             modulator = k
     start = time.perf_counter()
@@ -139,6 +147,7 @@ def cmd_solve(args) -> int:
         "diameter": diameter,
         "parameters": used,
         "ms": elapsed_ms,
+        "select_ms": select_ms,
         "verify": None,
     }
     exit_code = EXIT_OK

@@ -133,10 +133,11 @@ def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
     for v in k_set:
         if not (0 <= v < g.n):
             raise InvalidModulatorError(f"modulator vertex {v} outside 0..{g.n - 1}")
-    k_list = sorted(set(k_set))
+    in_k = set(k_set)
+    k_list = sorted(in_k)
     if not k_list and find_induced_p4(g) is not None:
         raise InvalidModulatorError("empty modulator but the graph is not P4-free")
-    rest = [v for v in range(g.n) if v not in set(k_list)]
+    rest = [v for v in range(g.n) if v not in in_k]
     sub, order = induced_subgraph(g, rest)
     diams = component_diameters(sub)  # validates the modulator
     best = max(diams, default=0)

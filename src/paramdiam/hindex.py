@@ -6,12 +6,21 @@ maintains a diameter candidate e, starting at the largest distance seen in
 the hub tables, and certifies it: a fingerprint pair whose best via-hub
 route exceeds e forces a depth-e BFS in G - H, and a missing vertex of the
 probed fingerprint proves a pair at distance e + 1.
+
+Certification works per fingerprint type, not per vertex.  The T distinct
+fingerprints form one int32 (T, h) matrix, and each type's largest via-hub
+distance to any type is computed once, as T numpy reductions over T x h
+entries; no T x T matrix is built, so memory stays O(T * h).  A round for
+e then visits only the vertices whose type reaches beyond e, and takes
+their pending types from one numpy minimum over the matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Callable, Sequence
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
 from .graph import UNREACHABLE, Graph, _bfs_dist, induced_subgraph, is_connected
@@ -21,12 +30,13 @@ TraceSink = Callable[[dict], None] | None
 
 
 def truncated_bfs_count(
-    g_minus_h: Graph, v: int, depth: int, types: Sequence[tuple[int, ...]]
+    g_minus_h: Graph, v: int, depth: int, types: Sequence[Hashable]
 ) -> Counter:
     """Count fingerprints among vertices within ``depth`` of v in G - H.
 
-    ``types[u]`` is the fingerprint of vertex u of the hub-free graph; v
-    itself is counted (distance 0).
+    ``types[u]`` is the fingerprint of vertex u of the hub-free graph, or
+    any label that identifies it such as a type index; v itself is counted
+    (distance 0).
     """
     if not (0 <= v < g_minus_h.n):
         raise VertexRangeError(f"vertex {v} outside 0..{g_minus_h.n - 1}")
@@ -84,26 +94,26 @@ def solve_hd(
     if not non_hubs:
         return e
     sub, order = induced_subgraph(g, non_hubs)
-    sub_id = {old: i for i, old in enumerate(order)}
-    vec_of = [
-        tuple(rows[x][old] for x in hub_list) for old in order
+    # type index of each vertex of G - H, numbered by first appearance
+    index_of: dict[tuple[int, ...], int] = {}
+    type_of = [
+        index_of.setdefault(tuple(rows[x][old] for x in hub_list), len(index_of))
+        for old in order
     ]
-    totals: Counter = Counter(vec_of)
+    totals = Counter(type_of)
+    tmat = np.array(list(index_of), dtype=np.int32)  # (T, h)
+    # largest via-hub distance from each type to any type
+    reach = np.array([np.min(tmat + t, axis=1).max() for t in tmat])
+    type_arr = np.array(type_of)
 
-    type_list = list(totals)
     while True:
         shortfall = False
         probes = 0
-        for i, old in enumerate(order):
-            vec_v = vec_of[i]
-            pending = [
-                t for t in type_list
-                if min(a + b for a, b in zip(vec_v, t)) > e
-            ]
-            if not pending:
-                continue
+        for i in np.flatnonzero(reach[type_arr] > e).tolist():
+            via_hub = np.min(tmat + tmat[type_of[i]], axis=1)
+            pending = np.flatnonzero(via_hub > e).tolist()
             probes += 1
-            reached = truncated_bfs_count(sub, i, e, vec_of)
+            reached = truncated_bfs_count(sub, i, e, type_of)
             for t in pending:
                 if reached.get(t, 0) != totals[t]:
                     # some vertex of this fingerprint is at distance >= e + 1
@@ -111,8 +121,8 @@ def solve_hd(
                         trace({
                             "e": e,
                             "probes": probes,
-                            "vertex": old,
-                            "type": list(t),
+                            "vertex": order[i],
+                            "type": tmat[t].tolist(),
                         })
                     shortfall = True
                     break

@@ -69,11 +69,16 @@ def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def cograph_modulator(g: Graph) -> set[int]:
+def cograph_modulator(g: Graph, limit: int | None = None) -> set[int]:
     """Vertex set whose removal leaves the graph P4-free.
 
     Iteratively peels all four vertices of some induced P4; the result size
-    is a multiple of four and at most four times the optimum.
+    is a multiple of four and at most four times the optimum.  With a
+    ``limit``, peeling stops once more than ``limit`` vertices are removed:
+    the result is then the full modulator if that has at most ``limit``
+    vertices, and otherwise a part of it with more than ``limit`` vertices
+    (not a valid modulator), which is enough to compare its size with
+    ``limit`` or any smaller number.
     """
     removed: set[int] = set()
     current = g
@@ -83,6 +88,8 @@ def cograph_modulator(g: Graph) -> set[int]:
         if hit is None:
             return removed
         removed.update(order[v] for v in hit)
+        if limit is not None and len(removed) > limit:
+            return removed
         keep = [v for v in range(current.n) if v not in hit]
         current, sub_order = induced_subgraph(current, keep)
         order = [order[v] for v in sub_order]

@@ -2,8 +2,18 @@ import json
 
 import pytest
 
-from paramdiam import from_edge_list, load_edge_list, naive_diameter, save_edge_list
-from paramdiam.cli import main
+from paramdiam import (
+    cograph_modulator,
+    from_edge_list,
+    gen_connected_er,
+    gen_random_cograph_plus,
+    gen_tree_plus_k,
+    h_index,
+    load_edge_list,
+    naive_diameter,
+    save_edge_list,
+)
+from paramdiam.cli import _pick_auto, main
 
 
 @pytest.fixture
@@ -146,3 +156,69 @@ class TestBench:
             n, m, param, algo, ms = line.split(",")
             assert algo in {"fes", "naive"}
             float(ms)
+
+
+class TestSelectMs:
+    def test_auto_reports_selection_time(self, capsys, path_graph):
+        code, out, _ = run(capsys, "solve", path_graph)
+        rep = json.loads(out)
+        assert code == 0 and rep["algo"] != "auto"
+        assert isinstance(rep["select_ms"], float) and rep["select_ms"] >= 0.0
+
+    def test_explicit_algo_reports_zero(self, capsys, path_graph):
+        code, out, _ = run(capsys, "solve", path_graph, "--algo", "naive")
+        assert code == 0
+        assert json.loads(out)["select_ms"] == 0.0
+
+
+def pick_with_full_modulator(g, cograph_threshold, hindex_threshold):
+    """The routing rule evaluated on the whole cograph modulator."""
+    k_fes = g.m - g.n + 1
+    k = cograph_modulator(g)
+    h = h_index(g)
+    if k_fes <= min(len(k), h):
+        return "fes", k
+    if len(k) <= cograph_threshold:
+        return "cograph", k
+    if h <= hindex_threshold:
+        return "hindex-diam", k
+    return "naive", k
+
+
+def caterpillar_plus(spine, leaves, extra):
+    """A path of ``spine`` hubs with ``leaves`` leaves each, plus ``extra``
+    leaf-to-leaf edges: h-index ``spine``, feedback edge number ``extra``."""
+    edges = [(i, i + 1) for i in range(spine - 1)]
+    leaf_ids = []
+    for i in range(spine):
+        for j in range(leaves):
+            leaf = spine + i * leaves + j
+            edges.append((i, leaf))
+            leaf_ids.append(leaf)
+    edges += [(leaf_ids[j], leaf_ids[-1 - j]) for j in range(extra)]
+    return from_edge_list(edges, spine * (leaves + 1))
+
+
+class TestPickAuto:
+    def test_same_route_as_full_modulator(self):
+        graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
+                  enumerate(((60, 0), (80, 3), (120, 8), (200, 15)))]
+        graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
+                   enumerate(((15, 0.4), (30, 0.2), (50, 0.12), (80, 0.08)))]
+        graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
+                   enumerate(((20, 0), (40, 2), (60, 3), (90, 6)))]
+        graphs.append(from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4))
+        graphs.append(caterpillar_plus(10, 10, 6))
+        routes = set()
+        for g in graphs:
+            for cograph_threshold in (0, 4, 12, 40):
+                for hindex_threshold in (0, 3, 40):
+                    want, full = pick_with_full_modulator(
+                        g, cograph_threshold, hindex_threshold
+                    )
+                    got, k = _pick_auto(g, cograph_threshold, hindex_threshold)
+                    assert got == want
+                    if got == "cograph":
+                        assert k == full  # the solver never gets a partial set
+                    routes.add(got)
+        assert routes == {"fes", "cograph", "hindex-diam", "naive"}

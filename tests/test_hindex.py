@@ -1,3 +1,5 @@
+import math
+import time
 from collections import Counter
 
 import pytest
@@ -7,8 +9,12 @@ from hypothesis import strategies as st
 from paramdiam import (
     DisconnectedGraphError,
     InvalidModulatorError,
+    bfs,
+    bipartite_girth_construction,
+    bisection_construction,
     from_edge_list,
     gen_connected_er,
+    gen_tree_plus_k,
     hub_set,
     naive_diameter,
     solve_hd,
@@ -75,3 +81,84 @@ class TestSolve:
         for seed in range(30):
             g = gen_connected_er(8 + seed, 0.15 + (seed % 5) * 0.1, seed)
             assert solve_hd(g) == naive_diameter(g)
+
+
+def sparse_er(n, seed):
+    """Connected ER with about 1.6 ln(n) expected degree: low h, many types."""
+    return gen_connected_er(n, 1.6 * math.log(n) / n, seed)
+
+
+def probed_vertices(g, e):
+    """Per-vertex reference for the pending filter.
+
+    Counts the non-hub vertices with some fingerprint type whose best
+    via-hub route to it exceeds e, computed one vertex at a time.
+    """
+    hubs = sorted(hub_set(g))
+    rows = [bfs(g, x).dist for x in hubs]
+    vecs = [tuple(row[v] for row in rows) for v in range(g.n) if v not in hubs]
+    types = set(vecs)
+    return sum(
+        any(min(a + b for a, b in zip(vec, t)) > e for t in types) for vec in vecs
+    )
+
+
+class TestPerTypeCertification:
+    def test_seeded_families_match_naive(self):
+        graphs = [sparse_er(n, seed) for seed, n in enumerate((200, 450, 700))]
+        graphs += [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
+                   enumerate(((400, 5), (900, 12), (1500, 15)))]
+        graphs += [bipartite_girth_construction(sparse_er(n, seed)).graph
+                   for seed, n in enumerate((120, 200))]
+        graphs += [bisection_construction(gen_tree_plus_k(n, 5, seed)).graph
+                   for seed, n in enumerate((150, 300))]
+        rounds = []
+        for g in graphs:
+            events = []
+            assert solve_hd(g, None, events.append) == naive_diameter(g)
+            rounds.append(len(events))
+        # e starts below the diameter on most of these, so rounds repeat
+        assert sum(r > 1 for r in rounds) >= len(graphs) // 2
+
+    def test_final_round_probes_match_per_vertex_filter(self):
+        graphs = [sparse_er(n, 30 + seed) for seed, n in enumerate((120, 200))]
+        graphs += [gen_tree_plus_k(300, 6, 31), gen_tree_plus_k(250, 20, 32)]
+        graphs.append(bisection_construction(gen_tree_plus_k(80, 3, 33)).graph)
+        for g in graphs:
+            events = []
+            solve_hd(g, None, events.append)
+            last = events[-1]
+            assert last["vertex"] is None
+            assert last["probes"] == probed_vertices(g, last["e"])
+
+    def test_shortfall_events_name_a_pending_type(self):
+        g = gen_tree_plus_k(600, 8, 41)
+        hubs = sorted(hub_set(g))
+        rows = [bfs(g, x).dist for x in hubs]
+        fingerprint = {v: [row[v] for row in rows] for v in range(g.n)}
+        events = []
+        solve_hd(g, None, events.append)
+        assert len(events) > 1
+        for ev in events[:-1]:
+            via_hub = min(a + b for a, b in zip(fingerprint[ev["vertex"]], ev["type"]))
+            assert via_hub > ev["e"]
+            assert ev["type"] in fingerprint.values()
+
+
+def best_of_three(fn, g):
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(g)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_tree_plus_k(1500, 15, 0),
+    lambda: bisection_construction(gen_tree_plus_k(300, 5, 0)).graph,
+], ids=["tree-plus-k-1500-15", "thm4-of-tree-plus-k-300-5"])
+def test_no_slower_than_naive_on_low_h_families(make):
+    g = make()
+    assert solve_hd(g) == naive_diameter(g)
+    assert best_of_three(solve_hd, g) <= best_of_three(naive_diameter, g)

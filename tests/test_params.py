@@ -9,6 +9,8 @@ from paramdiam import (
     feedback_edge_set,
     find_induced_p4,
     from_edge_list,
+    gen_connected_er,
+    gen_random_cograph_plus,
     h_index,
     hub_set,
     induced_subgraph,
@@ -132,3 +134,39 @@ class TestReport:
         assert rep["h_index"] == 2
         assert rep["max_degree"] == 3 and rep["min_degree"] == 1
         assert Fraction(rep["average_degree"]) == Fraction(2)
+
+
+def check_limited_modulator(g, limit):
+    full = cograph_modulator(g)
+    part = cograph_modulator(g, limit)
+    if len(full) <= limit:
+        assert part == full
+    else:
+        assert len(part) > limit
+        assert part <= full
+
+
+class TestCographModulatorLimit:
+    def test_seeded_graphs_every_limit(self):
+        graphs = [gen_connected_er(n, p, seed) for seed, (n, p) in
+                  enumerate(((20, 0.3), (40, 0.2), (60, 0.1)))]
+        graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
+                   enumerate(((30, 2), (60, 4)))]
+        sizes = set()
+        for g in graphs:
+            full = cograph_modulator(g)
+            sizes.add(len(full))
+            for limit in range(-1, len(full) + 5):
+                check_limited_modulator(g, limit)
+        assert max(sizes) >= 12  # several peels happen before the limit
+
+    def test_stops_at_the_first_peel_past_the_limit(self):
+        g = gen_connected_er(40, 0.2, 1)
+        assert len(cograph_modulator(g)) > 8
+        assert len(cograph_modulator(g, 0)) == 4
+        assert len(cograph_modulator(g, 4)) == 8
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs(max_n=10), st.integers(-1, 12))
+    def test_full_or_larger_than_limit(self, g, limit):
+        check_limited_modulator(g, limit)
