@@ -24,7 +24,7 @@ from .constructions import (
     parse_dimacs_cnf,
     sat_to_diameter,
 )
-from .deletion import apsp_by_bfs, combine_apsp, solve_clique_modulator
+from .deletion import ApspMatrix, apsp_by_bfs, combine_apsp, solve_clique_modulator
 from .errors import (
     DisconnectedGraphError,
     GraphInputError,
@@ -114,8 +114,7 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
         k = modulator if modulator is not None else clique_modulator_2approx(g)
         rest = [v for v in range(g.n) if v not in k]
         sub, order = induced_subgraph(g, rest)
-        base = apsp_by_bfs(sub)
-        base = type(base)(tuple(order), base.dist)
+        base = ApspMatrix(tuple(order), apsp_by_bfs(sub).dist)
         full = combine_apsp(g, set(k), base)
         return full.diameter(), {"deletion_set_size": len(k)}
     raise ParamDiamError(f"unknown algorithm {algo!r}")

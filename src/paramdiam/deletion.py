@@ -12,12 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DisconnectedGraphError,
-    EdgeListParseError,
-    InvalidModulatorError,
-    VertexRangeError,
-)
+from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
 from .graph import UNREACHABLE, Graph, _bfs_dist, is_connected
 from .params import clique_modulator_2approx
 
@@ -118,35 +113,3 @@ def solve_clique_modulator(g: Graph, k_set: set[int] | None = None) -> int:
         row = _bfs_dist(g.adjacency, g.n, x)
         best = max(best, max(row))
     return best
-
-
-# ---------------------------------------------------------------------------
-# Binary serialization: text header "APSP n\n", then int64 little-endian
-# row-major entries with -1 for unreachable.  Order must be identity.
-
-def save_apsp(matrix: ApspMatrix, path: str) -> None:
-    if matrix.order != tuple(range(matrix.n)):
-        raise VertexRangeError("only identity-ordered matrices are serialized")
-    with open(path, "wb") as fh:
-        fh.write(f"APSP {matrix.n}\n".encode("ascii"))
-        fh.write(matrix.dist.astype("<i8").tobytes())
-
-
-def load_apsp(path: str) -> ApspMatrix:
-    with open(path, "rb") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2 or parts[0] != b"APSP":
-            raise EdgeListParseError("bad APSP header")
-        try:
-            n = int(parts[1])
-        except ValueError as exc:
-            raise EdgeListParseError("bad APSP header") from exc
-        payload = fh.read()
-    expected = n * n * 8
-    if len(payload) != expected:
-        raise EdgeListParseError(
-            f"APSP payload is {len(payload)} bytes, expected {expected}"
-        )
-    dist = np.frombuffer(payload, dtype="<i8").astype(np.int64).reshape(n, n)
-    return ApspMatrix(tuple(range(n)), dist)

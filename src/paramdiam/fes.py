@@ -75,19 +75,9 @@ class WeightedDiameterInstance:
 
     def bfs_from(self, source: int) -> list[int]:
         """Distances over the current (reduced) graph; dead vertices -1."""
-        dist = [UNREACHABLE] * self.n
         if not self.alive[source]:
             raise VertexRangeError(f"vertex {source} was already removed")
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du1 = dist[u] + 1
-            for w in self._adj[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = du1
-                    queue.append(w)
-        return dist
+        return _bfs_dist(self._adj, self.n, source)
 
     def compacted(self) -> tuple[Graph, list[int], list[int]]:
         """Freeze the surviving graph; returns (graph, old ids, pen per new id)."""

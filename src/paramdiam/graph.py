@@ -3,12 +3,15 @@
 Graphs are undirected, unweighted, simple, with vertices 0..n-1.  All
 distances are plain Python integers; ``UNREACHABLE`` (-1) marks vertices in
 other components.  A :class:`Graph` never changes after construction, so it
-can be shared freely between threads; every function here is pure.
+can be shared freely between threads.
+
+Every traversal in the package runs on one kernel, :func:`_bfs`, which
+writes the distances it finds into a ``dist`` list owned by its caller;
+every public function here is pure.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -106,17 +109,39 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     return Graph(n, tuple(tuple(sorted(a)) for a in adjacency), len(seen))
 
 
-def _bfs_dist(adjacency: Sequence[Sequence[int]], n: int, source: int) -> list[int]:
-    dist = [UNREACHABLE] * n
+def _bfs(
+    adjacency: Sequence[Iterable[int]],
+    source: int,
+    dist: list[int],
+    depth: int | None = None,
+) -> list[int]:
+    """BFS from ``source`` over the entries of ``dist`` still UNREACHABLE.
+
+    Writes each distance it finds into the caller's ``dist`` (``source``
+    gets 0) and returns the reached vertices in visiting order, so their
+    distances never decrease along the list.  With ``depth``, vertices
+    farther than ``depth`` from ``source`` stay UNREACHABLE.  Entries of
+    ``dist`` that are already set act as walls, which lets one ``dist``
+    list carry a whole BFS forest.
+    """
+    if depth is None:
+        depth = len(dist)
     dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
+    order = [source]
+    for u in order:
         du1 = dist[u] + 1
+        if du1 > depth:
+            break
         for w in adjacency[u]:
             if dist[w] == UNREACHABLE:
                 dist[w] = du1
-                queue.append(w)
+                order.append(w)
+    return order
+
+
+def _bfs_dist(adjacency: Sequence[Iterable[int]], n: int, source: int) -> list[int]:
+    dist = [UNREACHABLE] * n
+    _bfs(adjacency, source, dist)
     return dist
 
 
@@ -157,73 +182,64 @@ def naive_diameter(g: Graph) -> int:
     return best
 
 
+def _bfs_forest(g: Graph) -> tuple[list[int], list[list[int]]]:
+    """One BFS per unreached root in ascending order, over one shared dist.
+
+    Returns the distance of each vertex from its tree's root and the
+    vertices of each tree in visiting order.
+    """
+    dist = [UNREACHABLE] * g.n
+    trees = [
+        _bfs(g.adjacency, root, dist)
+        for root in range(g.n)
+        if dist[root] == UNREACHABLE
+    ]
+    return dist, trees
+
+
 def connected_components(g: Graph) -> list[int]:
     """Component labels: labels[v] == labels[u] iff u, v connected.
 
     Labels are consecutive integers starting at 0, assigned in order of the
     smallest vertex of each component.
     """
-    labels = [-1] * g.n
-    label = 0
-    for start in range(g.n):
-        if labels[start] != -1:
-            continue
-        labels[start] = label
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if labels[w] == -1:
-                    labels[w] = label
-                    queue.append(w)
-        label += 1
+    labels = [0] * g.n
+    for label, tree in enumerate(_bfs_forest(g)[1]):
+        for v in tree:
+            labels[v] = label
     return labels
 
 
 def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+    """Whether g is 2-colourable: no edge joins two vertices of one BFS layer."""
+    dist, _ = _bfs_forest(g)
+    return all(dist[u] != dist[v] for u, v in g.edges())
 
 
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for acyclic graphs.
 
-    BFS from every vertex; a non-tree edge (u, w) closes a cycle of length
-    at most dist[u] + dist[w] + 1, and for a vertex on a shortest cycle
-    this bound is tight.
+    BFS from every vertex v, only as deep as a shorter cycle could reach.
+    An edge inside layer d closes a walk of length 2d + 1 through v, and a
+    vertex of layer d with two neighbours in layer d - 1 one of length 2d;
+    either walk contains a cycle at most that long, and for v on a
+    shortest cycle one of them is that cycle.
     """
     best: int | None = None
     for v in range(g.n):
         dist = [UNREACHABLE] * g.n
-        parent = [-1] * g.n
-        dist[v] = 0
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            if best is not None and dist[u] * 2 >= best:
+        depth = None if best is None else (best - 1) // 2
+        for u in _bfs(g.adjacency, v, dist, depth)[1:]:
+            d = dist[u]
+            layers = [dist[w] for w in g.adjacency[u]]
+            if layers.count(d - 1) >= 2:
+                cand = 2 * d
+            elif d in layers:
+                cand = 2 * d + 1
+            else:
                 continue
-            for w in g.adjacency[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cand = dist[u] + dist[w] + 1
-                    if best is None or cand < best:
-                        best = cand
+            if best is None or cand < best:
+                best = cand
     return best
 
 

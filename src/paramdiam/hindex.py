@@ -17,13 +17,13 @@ their pending types from one numpy minimum over the matrix.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
-from .graph import UNREACHABLE, Graph, _bfs_dist, induced_subgraph, is_connected
+from .graph import UNREACHABLE, Graph, _bfs, _bfs_dist, induced_subgraph, is_connected
 from .params import h_index, hub_set
 
 TraceSink = Callable[[dict], None] | None
@@ -41,21 +41,7 @@ def truncated_bfs_count(
     if not (0 <= v < g_minus_h.n):
         raise VertexRangeError(f"vertex {v} outside 0..{g_minus_h.n - 1}")
     dist = [UNREACHABLE] * g_minus_h.n
-    dist[v] = 0
-    queue = deque([v])
-    counts: Counter = Counter()
-    counts[types[v]] += 1
-    while queue:
-        u = queue.popleft()
-        if dist[u] == depth:
-            continue
-        du1 = dist[u] + 1
-        for w in g_minus_h.adjacency[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du1
-                counts[types[w]] += 1
-                queue.append(w)
-    return counts
+    return Counter(types[u] for u in _bfs(g_minus_h.adjacency, v, dist, depth))
 
 
 def solve_hd(

@@ -6,7 +6,6 @@ repeated runs pick identical modulators.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,24 +20,6 @@ class ModulatorResult:
     kind: str  # "feedback-edge" | "cograph-vertex-set" | "clique-vertex-set"
     deleted: frozenset
     size: int
-
-
-def feedback_edge_set(g: Graph) -> set[tuple[int, int]]:
-    """Edges outside a BFS spanning tree; always exactly m - n + 1 of them."""
-    require_connected(g)
-    in_tree: set[tuple[int, int]] = set()
-    visited = [False] * g.n
-    if g.n:
-        visited[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not visited[w]:
-                    visited[w] = True
-                    in_tree.add((u, w) if u < w else (w, u))
-                    queue.append(w)
-    return {e for e in g.edges() if e not in in_tree}
 
 
 def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
@@ -164,12 +145,16 @@ def degree_stats(g: Graph) -> tuple[int, int, Fraction]:
 
 
 def parameter_report(g: Graph) -> dict:
-    """The JSON-able parameter summary emitted by the CLI."""
+    """The JSON-able parameter summary emitted by the CLI.
+
+    The graph must be connected; its feedback edge number is then m - n + 1.
+    """
     dmax, dmin, davg = degree_stats(g)
+    require_connected(g)
     return {
         "n": g.n,
         "m": g.m,
-        "feedback_edge_number": len(feedback_edge_set(g)),
+        "feedback_edge_number": g.m - g.n + 1,
         "cograph_modulator_size": len(cograph_modulator(g)),
         "clique_modulator_size": len(clique_modulator_2approx(g)),
         "h_index": h_index(g),

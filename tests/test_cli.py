@@ -36,6 +36,13 @@ class TestParams:
         rep = json.loads(out)
         assert rep["n"] == 4 and rep["feedback_edge_number"] == 0
 
+    def test_exit_code_disconnected(self, capsys, tmp_path):
+        p = tmp_path / "disc.el"
+        save_edge_list(from_edge_list([(0, 1), (2, 3)], 4), str(p))
+        code, out, err = run(capsys, "params", str(p))
+        assert code == 3
+        assert out == "" and "error" in err
+
 
 class TestSolve:
     @pytest.mark.parametrize(

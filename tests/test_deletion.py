@@ -7,16 +7,13 @@ from paramdiam import (
     UNREACHABLE,
     ApspMatrix,
     DisconnectedGraphError,
-    EdgeListParseError,
     InvalidModulatorError,
     apsp_by_bfs,
     clique_modulator_2approx,
     combine_apsp,
     from_edge_list,
     induced_subgraph,
-    load_apsp,
     naive_diameter,
-    save_apsp,
     solve_clique_modulator,
 )
 from oracles import floyd_warshall
@@ -96,32 +93,3 @@ class TestCliqueSolver:
         base = clique_modulator_2approx(g)
         extra = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3))
         assert solve_clique_modulator(g, base | extra) == naive_diameter(g)
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        g = from_edge_list([(0, 1), (1, 2), (0, 3)], 4)
-        mat = apsp_by_bfs(g)
-        path = str(tmp_path / "m.apsp")
-        save_apsp(mat, path)
-        again = load_apsp(path)
-        assert again.order == mat.order
-        assert (again.dist == mat.dist).all()
-
-    def test_unreachable_survives(self, tmp_path):
-        mat = apsp_by_bfs(from_edge_list([(0, 1)], 3))
-        path = str(tmp_path / "m.apsp")
-        save_apsp(mat, path)
-        assert load_apsp(path).dist[0, 2] == UNREACHABLE
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.apsp"
-        path.write_bytes(b"NOPE 3\n" + b"\0" * 72)
-        with pytest.raises(EdgeListParseError):
-            load_apsp(str(path))
-
-    def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.apsp"
-        path.write_bytes(b"APSP 3\n" + b"\0" * 10)
-        with pytest.raises(EdgeListParseError):
-            load_apsp(str(path))

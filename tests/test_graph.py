@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from paramdiam import (
     parse_edge_list,
     require_connected,
 )
+from paramdiam.graph import _bfs
 from oracles import components_union_find, diameter_floyd, floyd_warshall
 
 
@@ -111,6 +114,38 @@ class TestBfsAndDiameter:
             assert dist[u][v] <= dist[u][w] + dist[w][v]
 
 
+class TestBfsKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_matches_oracle_within_depth(self, g, data):
+        source = data.draw(st.integers(0, g.n - 1))
+        ref = floyd_warshall(g)[source]
+        for depth in (None, 0, 1, 2, 3):
+            dist = [UNREACHABLE] * g.n
+            order = _bfs(g.adjacency, source, dist, depth)
+            for v in range(g.n):
+                within = ref[v] != float("inf") and (depth is None or ref[v] <= depth)
+                assert dist[v] == (int(ref[v]) if within else UNREACHABLE)
+            assert order[0] == source
+            assert sorted(order) == [v for v in range(g.n) if dist[v] != UNREACHABLE]
+            layers = [dist[v] for v in order]
+            assert layers == sorted(layers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs())
+    def test_shared_dist_reproduces_union_find(self, g):
+        dist = [UNREACHABLE] * g.n
+        labels = [None] * g.n
+        label = 0
+        for root in range(g.n):
+            if dist[root] == UNREACHABLE:
+                for v in _bfs(g.adjacency, root, dist):
+                    assert labels[v] is None
+                    labels[v] = label
+                label += 1
+        assert labels == components_union_find(g)
+
+
 class TestComponents:
     def test_labels_in_smallest_vertex_order(self):
         g = from_edge_list([(2, 3), (0, 4)], 5)
@@ -137,6 +172,22 @@ class TestBipartiteAndGirth:
         g = from_edge_list([(0, 1), (1, 2)], 4)
         assert girth(g) is None
         assert is_bipartite(g)
+
+    def test_even_cycle_found_after_longer_odd_cycle(self):
+        # the first BFS, from 0, sees the 5-cycle; the 4-cycle 5-6-7-8 needs
+        # depth 2 from its own vertices, which (5 - 1) // 2 still allows
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (4, 5)]
+        edges += [(5, 6), (6, 7), (7, 8), (8, 5)]
+        assert girth(from_edge_list(edges, 9)) == 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=9))
+    def test_bipartite_matches_two_colouring(self, g):
+        colourable = any(
+            all(colour[u] != colour[v] for u, v in g.edges())
+            for colour in product((0, 1), repeat=g.n)
+        )
+        assert is_bipartite(g) == colourable
 
     @settings(max_examples=100, deadline=None)
     @given(graphs(max_n=9))

@@ -20,6 +20,7 @@ from paramdiam import (
     solve_hd,
     truncated_bfs_count,
 )
+from oracles import floyd_warshall
 from test_graph import graphs
 
 
@@ -34,6 +35,16 @@ class TestTruncatedBfs:
     def test_respects_components(self):
         g = from_edge_list([(0, 1)], 3)
         assert truncated_bfs_count(g, 2, 5, ["x", "x", "x"]) == Counter({"x": 1})
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_matches_oracle_distances(self, g, data):
+        v = data.draw(st.integers(0, g.n - 1))
+        depth = data.draw(st.integers(0, 4))
+        types = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        ref = floyd_warshall(g)[v]
+        want = Counter(types[u] for u in range(g.n) if ref[u] <= depth)
+        assert truncated_bfs_count(g, v, depth, types) == want
 
 
 class TestSolve:

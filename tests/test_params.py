@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from paramdiam import (
     clique_modulator_2approx,
     cograph_modulator,
-    feedback_edge_set,
     find_induced_p4,
     from_edge_list,
     gen_connected_er,
@@ -26,28 +25,6 @@ def is_clique(g, vertices):
     return all(
         masks[v] >> w & 1 for i, v in enumerate(vs) for w in vs[i + 1:]
     )
-
-
-class TestFeedbackEdgeSet:
-    def test_tree_is_empty(self):
-        g = from_edge_list([(0, 1), (1, 2), (1, 3)], 4)
-        assert feedback_edge_set(g) == set()
-
-    def test_cycle_drops_one_edge(self):
-        g = from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
-        assert len(feedback_edge_set(g)) == 1
-
-    @settings(max_examples=120, deadline=None)
-    @given(graphs(connected_only=True))
-    def test_size_and_acyclic_remainder(self, g):
-        fes = feedback_edge_set(g)
-        assert len(fes) == g.m - g.n + 1
-        remaining = [e for e in g.edges() if e not in fes]
-        # spanning tree: right count and still connected
-        assert len(remaining) == g.n - 1
-        from paramdiam import is_connected
-
-        assert is_connected(from_edge_list(remaining, g.n))
 
 
 class TestP4:
