@@ -26,23 +26,17 @@ DISTANCE_CAP = 4  # fingerprint entries: min(dist, 4)
 MULTIPLE = -1  # component marker for fingerprints spread over several components
 
 
-@dataclass(frozen=True)
-class CappedTypeVector:
-    """Distances to the modulator vertices, values above three capped to 4."""
-
-    entries: tuple[int, ...]
-
-
 @dataclass
 class TypeRecord:
     """All vertices sharing one capped fingerprint.
 
-    ``component`` is the single component id of G - K holding them, or
-    ``MULTIPLE``; ``representatives`` holds up to two (vertex, component)
-    pairs with distinct components.
+    ``type`` holds the distances to the modulator vertices, values above
+    three capped to 4.  ``component`` is the single component id of G - K
+    holding them, or ``MULTIPLE``; ``representatives`` holds up to two
+    (vertex, component) pairs with distinct components.
     """
 
-    type: CappedTypeVector
+    type: tuple[int, ...]
     count: int
     component: int
     representatives: tuple[tuple[int, int], ...]
@@ -109,7 +103,7 @@ def build_types(
         comp = labels[v]
         rec = records.get(vec)
         if rec is None:
-            records[vec] = TypeRecord(CappedTypeVector(vec), 1, comp, ((v, comp),))
+            records[vec] = TypeRecord(vec, 1, comp, ((v, comp),))
         else:
             rec.count += 1
             if rec.component != MULTIPLE and rec.component != comp:

@@ -12,11 +12,12 @@ maximal paths and pending cycles, then answer three cases:
    path's endpoints, so the endpoint rows of the matrix give every distance
    the sweep needs.
 
-The reduction state is a :class:`WeightedDiameterInstance`: a shrinking
-graph, a per-vertex weight ``pen`` recording the deepest peeled vertex
-reachable through each survivor, and a scalar ``s`` holding the best
-answer realized entirely inside peeled structures.  Both rules preserve
-max(s, weighted diameter of the current graph).
+The reduction state is a :class:`WeightedDiameterInstance`: the input
+graph with an alive mask and live degrees, a per-vertex weight ``pen``
+recording the deepest peeled vertex reachable through each survivor, and a
+scalar ``s`` holding the best answer realized entirely inside peeled
+structures.  Both rules preserve max(s, weighted diameter of the graph
+induced by the alive vertices).
 """
 
 from __future__ import annotations
@@ -28,21 +29,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
-from .graph import UNREACHABLE, Graph, _bfs_dist, is_connected
+from .graph import UNREACHABLE, Graph, _bfs_dist, induced_subgraph, is_connected
 
 TraceSink = Callable[[dict], None] | None
 
 
 class WeightedDiameterInstance:
-    """Mutable reduction state: graph + pen weights + folded-away scalar s."""
+    """Mutable reduction state over the input graph, which is shared, not copied.
 
-    __slots__ = ("_adj", "alive", "pen", "s", "_alive_count", "n")
+    ``alive`` masks the removed vertices; ``deg[v]`` is the number of alive
+    neighbours of an alive v, 0 once v is removed.  ``pen`` and ``s`` are
+    the weights and the folded-away scalar described above.
+    """
+
+    __slots__ = ("graph", "alive", "deg", "pen", "s", "alive_count", "n")
 
     def __init__(self, graph: Graph, pen: Sequence[int] | None = None, s: int = 0):
+        self.graph = graph
         self.n = graph.n
-        self._adj: list[set[int]] = [set(nbrs) for nbrs in graph.adjacency]
         self.alive = [True] * graph.n
-        self._alive_count = graph.n
+        self.deg = [len(nbrs) for nbrs in graph.adjacency]
+        self.alive_count = graph.n
         if pen is None:
             self.pen = [0] * graph.n
         else:
@@ -53,41 +60,29 @@ class WeightedDiameterInstance:
             raise VertexRangeError("s must be nonnegative")
         self.s = s
 
-    @property
-    def alive_count(self) -> int:
-        return self._alive_count
-
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.deg[v]
 
-    def neighbors(self, v: int) -> set[int]:
-        return self._adj[v]
+    def neighbors(self, v: int) -> list[int]:
+        alive = self.alive
+        return [w for w in self.graph.adjacency[v] if alive[w]]
 
     def alive_vertices(self) -> list[int]:
         return [v for v in range(self.n) if self.alive[v]]
 
     def remove_vertex(self, v: int) -> None:
-        for w in self._adj[v]:
-            self._adj[w].discard(v)
-        self._adj[v].clear()
-        self.alive[v] = False
-        self._alive_count -= 1
-
-    def bfs_from(self, source: int) -> list[int]:
-        """Distances over the current (reduced) graph; dead vertices -1."""
-        if not self.alive[source]:
-            raise VertexRangeError(f"vertex {source} was already removed")
-        return _bfs_dist(self._adj, self.n, source)
+        alive, deg = self.alive, self.deg
+        alive[v] = False
+        deg[v] = 0
+        for w in self.graph.adjacency[v]:
+            if alive[w]:
+                deg[w] -= 1
+        self.alive_count -= 1
 
     def compacted(self) -> tuple[Graph, list[int], list[int]]:
         """Freeze the surviving graph; returns (graph, old ids, pen per new id)."""
-        order = self.alive_vertices()
-        new_id = {v: i for i, v in enumerate(order)}
-        adjacency = tuple(
-            tuple(sorted(new_id[w] for w in self._adj[v])) for v in order
-        )
-        m = sum(len(a) for a in adjacency) // 2
-        return Graph(len(order), adjacency, m), order, [self.pen[v] for v in order]
+        red, order = induced_subgraph(self.graph, self.alive_vertices())
+        return red, order, [self.pen[v] for v in order]
 
 
 def weighted_diameter_oracle(inst: WeightedDiameterInstance) -> int:
@@ -97,16 +92,13 @@ def weighted_diameter_oracle(inst: WeightedDiameterInstance) -> int:
     the reduction rules and case sweeps are validated.  A single surviving
     vertex yields s (the pair range is unordered and excludes v = w).
     """
-    order = inst.alive_vertices()
-    if not order:
+    red, _, pen = inst.compacted()
+    if red.n == 0:
         raise VertexRangeError("no vertices left")
-    if len(order) == 1:
-        return inst.s
     best = inst.s
-    pen = inst.pen
-    for i, v in enumerate(order):
-        row = inst.bfs_from(v)
-        for w in order[i + 1:]:
+    for v in range(red.n):
+        row = _bfs_dist(red.adjacency, red.n, v)
+        for w in range(v + 1, red.n):
             d = row[w]
             if d == UNREACHABLE:
                 raise DisconnectedGraphError("instance graph is not connected")
@@ -160,8 +152,11 @@ def max_weighted_pair_cyclic(
 # Reduction rules
 
 
-def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -> None:
-    """Remove a degree-one vertex, folding its pen weight into the neighbor."""
+def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -> int:
+    """Remove a degree-one vertex, folding its pen weight into the neighbor.
+
+    Returns that neighbor.
+    """
     if not inst.alive[u] or inst.degree(u) != 1:
         raise ContractViolationError(f"vertex {u} is not a live degree-one vertex")
     (v,) = inst.neighbors(u)
@@ -176,6 +171,7 @@ def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -
             "s": inst.s,
             "pen_anchor": inst.pen[v],
         })
+    return v
 
 
 def apply_rr2(
@@ -224,8 +220,7 @@ def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
         u = queue.popleft()
         if not inst.alive[u] or inst.degree(u) != 1:
             continue
-        (v,) = inst.neighbors(u)
-        apply_rr1(inst, u, trace)
+        v = apply_rr1(inst, u, trace)
         if inst.alive[v] and inst.degree(v) == 1:
             queue.append(v)
 

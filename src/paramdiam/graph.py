@@ -12,7 +12,6 @@ every public function here is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -77,14 +76,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DistanceRow:
-    """Single-source distances; ``dist[v] == UNREACHABLE`` if disconnected."""
-
-    source: int
-    dist: tuple[int, ...]
-
-
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a validated Graph from an edge list over vertices 0..n-1.
 
@@ -145,11 +136,14 @@ def _bfs_dist(adjacency: Sequence[Iterable[int]], n: int, source: int) -> list[i
     return dist
 
 
-def bfs(g: Graph, source: int) -> DistanceRow:
-    """Exact unweighted shortest-path distances from ``source``."""
+def bfs(g: Graph, source: int) -> tuple[int, ...]:
+    """Exact unweighted shortest-path distances from ``source``.
+
+    ``bfs(g, source)[v] == UNREACHABLE`` if v is in another component.
+    """
     if not (0 <= source < g.n):
         raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
-    return DistanceRow(source, tuple(_bfs_dist(g.adjacency, g.n, source)))
+    return tuple(_bfs_dist(g.adjacency, g.n, source))
 
 
 def is_connected(g: Graph) -> bool:

@@ -49,8 +49,8 @@ def solve_hd(
 ) -> int:
     """Exact diameter; the hub set defaults to the h highest-degree vertices.
 
-    Every vertex outside ``hubs`` must have degree at most ``h_index(g)``
-    when a custom set is supplied.
+    A custom set must be nonempty when g has more than one vertex, and
+    every vertex outside it must have degree at most ``h_index(g)``.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
@@ -59,6 +59,8 @@ def solve_hd(
     if hubs is None:
         hubs = hub_set(g)
     else:
+        if not hubs and g.n > 1:
+            raise InvalidModulatorError("the hub set is empty")
         h = h_index(g)
         for v in hubs:
             if not (0 <= v < g.n):

@@ -6,20 +6,10 @@ repeated runs pick identical modulators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import VertexRangeError
 from .graph import Graph, induced_subgraph, require_connected
-
-
-@dataclass(frozen=True)
-class ModulatorResult:
-    """A deletion set together with the class it is a modulator for."""
-
-    kind: str  # "feedback-edge" | "cograph-vertex-set" | "clique-vertex-set"
-    deleted: frozenset
-    size: int
 
 
 def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:

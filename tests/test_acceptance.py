@@ -147,7 +147,7 @@ def test_criterion_3_case_formula_soundness():
         dec = decompose(red)
         if not dec.paths:
             continue
-        rows = {v: list(bfs(red, v).dist) for v in dec.high}
+        rows = {v: list(bfs(red, v)) for v in dec.high}
         for path in dec.paths:
             a = len(path) - 1
             pens = [pen[v] for v in path]
@@ -155,7 +155,7 @@ def test_criterion_3_case_formula_soundness():
             if case2_same_path(pens, d0a) != case2_quadratic(pens, d0a):
                 ok = False
             inner_rows = {
-                i: list(bfs(red, path[i]).dist) for i in range(1, a)
+                i: list(bfs(red, path[i])) for i in range(1, a)
             }
             for i in range(1, a):
                 for j in range(i + 1, a):
@@ -167,7 +167,7 @@ def test_criterion_3_case_formula_soundness():
             if len(p1) < 3:
                 continue
             a = len(p1) - 1
-            p1_rows = {i: list(bfs(red, p1[i]).dist) for i in range(1, a)}
+            p1_rows = {i: list(bfs(red, p1[i])) for i in range(1, a)}
             for pj in range(pi + 1, len(dec.paths)):
                 p2 = dec.paths[pj]
                 if len(p2) < 3:

@@ -97,6 +97,17 @@ class TestSolve:
         )
         assert code == 4
 
+    def test_exit_code_empty_hub_set(self, capsys, tmp_path):
+        p = str(tmp_path / "c5.el")
+        save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), p)
+        mod = tmp_path / "empty.txt"
+        mod.write_text("")
+        code, out, err = run(
+            capsys, "solve", p, "--algo", "hindex-diam", "--modulator", str(mod), "--verify"
+        )
+        assert code == 4
+        assert out == "" and "error" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "solve", str(tmp_path / "missing.el"))
         assert code == 1

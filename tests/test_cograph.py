@@ -35,25 +35,25 @@ class TestBuildTypes:
     def test_groups_by_capped_fingerprint(self):
         # star center 0 as modulator; leaves share one fingerprint
         g = from_edge_list([(0, 1), (0, 2), (0, 3)], 4)
-        rows = {0: list(bfs(g, 0).dist)}
+        rows = {0: list(bfs(g, 0))}
         sub, order = induced_subgraph(g, [1, 2, 3])
         sub_labels = connected_components(sub)
         labels = {old: sub_labels[i] for i, old in enumerate(order)}
         records = build_types(g, [0], rows, labels)
         assert len(records) == 1
         assert records[0].count == 3
-        assert records[0].type.entries == (1,)
+        assert records[0].type == (1,)
         # three singleton components: flagged as spread over several
         assert records[0].component == -1
 
     def test_distance_cap(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], 7)
-        rows = {0: list(bfs(g, 0).dist)}
+        rows = {0: list(bfs(g, 0))}
         labels = {v: 0 for v in range(1, 7)}
         records = build_types(g, [0], rows, labels)
-        vecs = sorted(r.type.entries for r in records)
+        vecs = sorted(r.type for r in records)
         assert vecs == [(1,), (2,), (3,), (4,)]
-        counts = {r.type.entries: r.count for r in records}
+        counts = {r.type: r.count for r in records}
         assert counts[(4,)] == 3  # distances 4, 5, 6 all capped
 
 

@@ -14,7 +14,9 @@ from paramdiam import (
     decompose,
     find_pending_cycles,
     from_edge_list,
+    gen_connected_er,
     gen_tree_plus_k,
+    induced_subgraph,
     max_weighted_pair_cyclic,
     naive_diameter,
     reduce_exhaustively,
@@ -202,6 +204,60 @@ class TestReduceExhaustively:
                 inst.degree(v) >= 2 for v in inst.alive_vertices()
             )
             assert not find_pending_cycles(inst)
+
+
+def with_pending_cycles(g, rng):
+    """g plus one to three cycles, each hung off one vertex of g."""
+    edges = list(g.edges())
+    n = g.n
+    for _ in range(rng.randrange(1, 4)):
+        length = rng.randrange(3, 8)
+        cycle = [rng.randrange(g.n)] + list(range(n, n + length - 1))
+        n += length - 1
+        edges += [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+    return from_edge_list(edges, n)
+
+
+class TestInstanceState:
+    """After the reduction the live degrees, the alive mask and the compacted
+    graph still describe the graph induced by the alive vertices."""
+
+    @staticmethod
+    def reduce_and_check(g, pen, s):
+        inst = WeightedDiameterInstance(g, pen, s)
+        before = weighted_diameter_oracle(inst)
+        reduce_exhaustively(inst)
+        for v in range(g.n):
+            if inst.alive[v]:
+                assert inst.degree(v) == len(inst.neighbors(v))
+            else:
+                assert inst.degree(v) == 0
+        red, order, red_pen = inst.compacted()
+        sub, sub_order = induced_subgraph(g, inst.alive_vertices())
+        assert order == sub_order and red.n == inst.alive_count
+        assert (red.m, red.adjacency) == (sub.m, sub.adjacency)
+        assert red_pen == [inst.pen[v] for v in order]
+        assert weighted_diameter_oracle(inst) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs(max_n=10, connected_only=True), st.data())
+    def test_random_graphs(self, g, data):
+        pen = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+        self.reduce_and_check(g, pen, data.draw(st.integers(0, 10)))
+
+    def test_seeded_families(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            family = seed % 3
+            if family == 0:
+                g = gen_tree_plus_k(rng.randrange(10, 80), rng.randrange(0, 8), seed)
+            elif family == 1:
+                g = gen_connected_er(rng.randrange(8, 40), 0.12, seed)
+            else:
+                tree = gen_tree_plus_k(rng.randrange(5, 40), rng.randrange(0, 4), seed)
+                g = with_pending_cycles(tree, rng)
+            pen = [rng.randrange(0, 6) for _ in range(g.n)]
+            self.reduce_and_check(g, pen, rng.randrange(0, 6))
 
 
 class TestDecompose:

@@ -78,7 +78,7 @@ class TestConstruction:
 class TestBfsAndDiameter:
     def test_path_distances(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
-        assert bfs(g, 0).dist == (0, 1, 2, 3)
+        assert bfs(g, 0) == (0, 1, 2, 3)
         assert eccentricity(g, 1) == 2
         assert naive_diameter(g) == 3
 
@@ -89,7 +89,7 @@ class TestBfsAndDiameter:
 
     def test_disconnected_markers(self):
         g = from_edge_list([(0, 1)], 3)
-        assert bfs(g, 0).dist == (0, 1, UNREACHABLE)
+        assert bfs(g, 0) == (0, 1, UNREACHABLE)
         assert not is_connected(g)
         with pytest.raises(DisconnectedGraphError):
             require_connected(g)
@@ -104,7 +104,7 @@ class TestBfsAndDiameter:
     @settings(max_examples=100, deadline=None)
     @given(graphs(), st.data())
     def test_bfs_symmetric_and_triangle(self, g, data):
-        dist = [bfs(g, v).dist for v in range(g.n)]
+        dist = [bfs(g, v) for v in range(g.n)]
         u = data.draw(st.integers(0, g.n - 1))
         v = data.draw(st.integers(0, g.n - 1))
         w = data.draw(st.integers(0, g.n - 1))

@@ -70,6 +70,14 @@ class TestSolve:
             solve_hd(g, {1, 2})
         assert solve_hd(g, {0, 1}) == naive_diameter(g)
 
+    def test_empty_hub_set_rejected(self):
+        # on a cycle every degree is at most h_index, so only the emptiness
+        # of the set is wrong with it
+        c5 = from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5)
+        with pytest.raises(InvalidModulatorError):
+            solve_hd(c5, set())
+        assert solve_hd(from_edge_list([], 1), set()) == 0
+
     def test_trace_ends_with_certificate(self):
         events = []
         g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
@@ -106,7 +114,7 @@ def probed_vertices(g, e):
     via-hub route to it exceeds e, computed one vertex at a time.
     """
     hubs = sorted(hub_set(g))
-    rows = [bfs(g, x).dist for x in hubs]
+    rows = [bfs(g, x) for x in hubs]
     vecs = [tuple(row[v] for row in rows) for v in range(g.n) if v not in hubs]
     types = set(vecs)
     return sum(
@@ -145,7 +153,7 @@ class TestPerTypeCertification:
     def test_shortfall_events_name_a_pending_type(self):
         g = gen_tree_plus_k(600, 8, 41)
         hubs = sorted(hub_set(g))
-        rows = [bfs(g, x).dist for x in hubs]
+        rows = [bfs(g, x) for x in hubs]
         fingerprint = {v: [row[v] for row in rows] for v in range(g.n)}
         events = []
         solve_hd(g, None, events.append)
