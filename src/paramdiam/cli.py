@@ -38,6 +38,7 @@ from .graph import (
     load_edge_list,
     naive_diameter,
     save_edge_list,
+    solve_bounded,
 )
 from .hindex import solve_hd
 from .params import (
@@ -54,7 +55,10 @@ EXIT_DISCONNECTED = 3
 EXIT_BAD_MODULATOR = 4
 EXIT_VERIFY_MISMATCH = 5
 
-ALGOS = ("auto", "naive", "fes", "cograph", "hindex-diam", "clique", "deletion")
+ALGOS = (
+    "auto", "naive", "bounded", "fes", "cograph", "hindex-diam", "clique", "deletion",
+)
+MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique", "deletion")
 
 
 def _load_modulator(path: str) -> set[int]:
@@ -94,12 +98,14 @@ def _pick_auto(
         return "cograph", k
     if h <= hindex_threshold:
         return "hindex-diam", k
-    return "naive", k
+    return "bounded", k
 
 
 def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple[int, dict]:
     if algo == "naive":
         return naive_diameter(g), {}
+    if algo == "bounded":
+        return solve_bounded(g, trace), {}
     if algo == "fes":
         return solve_fes(g, trace), {"feedback_edge_number": g.m - g.n + 1}
     if algo == "cograph":
@@ -127,15 +133,19 @@ def cmd_params(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    g = load_edge_list(args.input)
-    modulator = _load_modulator(args.modulator) if args.modulator else None
     algo = args.algo
+    if args.modulator is not None and algo not in MODULATOR_ALGOS:
+        raise InvalidModulatorError(
+            f"--modulator needs --algo {'|'.join(MODULATOR_ALGOS)}, not {algo!r}"
+        )
+    g = load_edge_list(args.input)
+    modulator = _load_modulator(args.modulator) if args.modulator is not None else None
     select_ms = 0.0
     if algo == "auto":
         start = time.perf_counter()
         algo, k = _pick_auto(g, args.cograph_threshold, args.hindex_threshold)
         select_ms = (time.perf_counter() - start) * 1000.0
-        if algo == "cograph" and modulator is None:
+        if algo == "cograph":
             modulator = k
     start = time.perf_counter()
     diameter, used = _run_solver(g, algo, modulator, _trace_sink(args.trace))
@@ -248,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute the diameter")
     p.add_argument("input", help="edge-list file")
     p.add_argument("--algo", choices=ALGOS, default="auto")
-    p.add_argument("--modulator", help="file of vertex ids for modulator-based algos")
+    p.add_argument(
+        "--modulator",
+        help=f"file of vertex ids; only with --algo {'|'.join(MODULATOR_ALGOS)}",
+    )
     p.add_argument("--verify", action="store_true", help="recompute with the naive oracle")
     p.add_argument("--trace", action="store_true", help="JSON trace lines on stderr")
     p.add_argument("--cograph-threshold", type=int, default=12)

@@ -24,14 +24,19 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
-from .graph import UNREACHABLE, Graph, _bfs_dist, induced_subgraph, is_connected
-
-TraceSink = Callable[[dict], None] | None
+from .graph import (
+    UNREACHABLE,
+    Graph,
+    TraceSink,
+    _bfs_dist,
+    induced_subgraph,
+    is_connected,
+)
 
 
 class WeightedDiameterInstance:

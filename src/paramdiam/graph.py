@@ -8,11 +8,18 @@ can be shared freely between threads.
 Every traversal in the package runs on one kernel, :func:`_bfs`, which
 writes the distances it finds into a ``dist`` list owned by its caller;
 every public function here is pure.
+
+Two diameter solvers live here: :func:`naive_diameter`, one BFS per vertex
+and the reference oracle for every other solver, and :func:`solve_bounded`,
+which needs no structural parameter and prunes BFS sources with
+eccentricity bounds.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import (
     DisconnectedGraphError,
@@ -23,6 +30,8 @@ from .errors import (
 )
 
 UNREACHABLE = -1
+
+TraceSink = Callable[[dict], None] | None
 
 
 class Graph:
@@ -173,6 +182,52 @@ def naive_diameter(g: Graph) -> int:
     best = 0
     for v in range(g.n):
         best = max(best, max(_bfs_dist(g.adjacency, g.n, v)))
+    return best
+
+
+def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
+    """Exact diameter by BoundingDiameters (Takes & Kosters, CIKM 2011).
+
+    A BFS from v, of eccentricity e, bounds every vertex w:
+    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w).  The largest e
+    found is a lower bound on the diameter.  A candidate leaves once its
+    upper bound is at most that lower bound, or its two bounds are equal,
+    and the answer is that lower bound once no candidate is left, so it is
+    exact.  Sources alternate between the candidate of largest upper bound
+    and the one of smallest lower bound, the higher degree winning ties.
+    A vertex-transitive graph prunes nothing and takes n passes.
+
+    ``trace`` gets one final event: the BFS passes made and the lower and
+    upper bounds on the diameter, which are then equal.
+    """
+    n = g.n
+    if n == 0:
+        raise VertexRangeError("diameter undefined for the empty graph")
+    adjacency = g.adjacency
+    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    lower = np.zeros(n, dtype=np.int64)
+    upper = np.full(n, n, dtype=np.int64)  # above every eccentricity
+    cand = np.arange(n)
+    best = passes = 0
+    while cand.size:
+        if passes % 2:
+            source = cand[np.argmin(lower[cand] * n - degree[cand])]
+        else:
+            source = cand[np.argmax(upper[cand] * n + degree[cand])]
+        dist = [UNREACHABLE] * n
+        order = _bfs(adjacency, int(source), dist)
+        if len(order) < n:
+            raise DisconnectedGraphError("graph is not connected")
+        passes += 1
+        ecc = dist[order[-1]]
+        best = max(best, ecc)
+        d = np.array(dist, dtype=np.int64)
+        np.maximum(lower, np.maximum(d, ecc - d), out=lower)
+        np.minimum(upper, d + ecc, out=upper)
+        low, up = lower[cand], upper[cand]
+        cand = cand[(up > best) & (low < up)]
+    if trace is not None:
+        trace({"passes": passes, "lower": best, "upper": int(upper.max())})
     return best
 
 

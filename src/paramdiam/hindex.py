@@ -18,15 +18,21 @@ their pending types from one numpy minimum over the matrix.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
-from .graph import UNREACHABLE, Graph, _bfs, _bfs_dist, induced_subgraph, is_connected
+from .graph import (
+    UNREACHABLE,
+    Graph,
+    TraceSink,
+    _bfs,
+    _bfs_dist,
+    induced_subgraph,
+    is_connected,
+)
 from .params import h_index, hub_set
-
-TraceSink = Callable[[dict], None] | None
 
 
 def truncated_bfs_count(

@@ -74,6 +74,31 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["diameter"] == 3
 
+    def test_bounded(self, capsys, path_graph):
+        code, out, _ = run(capsys, "solve", path_graph, "--algo", "bounded", "--verify")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["diameter"] == 3 and rep["verify"] == "match"
+
+    def test_bounded_trace_is_one_final_event(self, capsys, path_graph):
+        code, out, err = run(capsys, "solve", path_graph, "--algo", "bounded", "--trace")
+        assert code == 0
+        assert json.loads(out)["diameter"] == 3
+        events = [json.loads(line) for line in err.splitlines()]
+        assert len(events) == 1
+        assert events[0]["lower"] == events[0]["upper"] == 3
+        assert 1 <= events[0]["passes"] <= 4
+
+    @pytest.mark.parametrize("algo", ["auto", "fes"])
+    def test_modulator_rejected_for_algos_that_take_none(self, capsys, path_graph, tmp_path, algo):
+        mod = tmp_path / "k.txt"
+        mod.write_text("1 2\n")
+        code, out, err = run(
+            capsys, "solve", path_graph, "--algo", algo, "--modulator", str(mod)
+        )
+        assert code == 4
+        assert out == "" and "cograph|hindex-diam|clique|deletion" in err
+
     def test_exit_code_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
         bad.write_text("not a graph\n")
@@ -200,7 +225,7 @@ def pick_with_full_modulator(g, cograph_threshold, hindex_threshold):
         return "cograph", k
     if h <= hindex_threshold:
         return "hindex-diam", k
-    return "naive", k
+    return "bounded", k
 
 
 def caterpillar_plus(spine, leaves, extra):
@@ -239,4 +264,4 @@ class TestPickAuto:
                     if got == "cograph":
                         assert k == full  # the solver never gets a partial set
                     routes.add(got)
-        assert routes == {"fes", "cograph", "hindex-diam", "naive"}
+        assert routes == {"fes", "cograph", "hindex-diam", "bounded"}

@@ -1,3 +1,6 @@
+import math
+import random
+import time
 from itertools import product
 
 import pytest
@@ -6,16 +9,22 @@ from hypothesis import strategies as st
 
 from paramdiam import (
     UNREACHABLE,
+    CnfFormula,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
     SelfLoopError,
     VertexRangeError,
     bfs,
+    bipartite_girth_construction,
+    bisection_construction,
     connected_components,
     eccentricity,
     format_edge_list,
     from_edge_list,
+    gen_connected_er,
+    gen_random_cograph_plus,
+    gen_tree_plus_k,
     girth,
     induced_subgraph,
     is_bipartite,
@@ -23,6 +32,8 @@ from paramdiam import (
     naive_diameter,
     parse_edge_list,
     require_connected,
+    sat_to_diameter,
+    solve_bounded,
 )
 from paramdiam.graph import _bfs
 from oracles import components_union_find, diameter_floyd, floyd_warshall
@@ -144,6 +155,98 @@ class TestBfsKernel:
                     labels[v] = label
                 label += 1
         assert labels == components_union_find(g)
+
+
+def best_of_three(fn, g):
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(g)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def circulant(n, offsets):
+    """Vertex i joined to i + j (mod n) for j in 1..offsets: every vertex
+    looks alike, so no eccentricity bound prunes anything."""
+    return from_edge_list(
+        [(i, (i + j) % n) for i in range(n) for j in range(1, offsets + 1)], n
+    )
+
+
+def random_3cnf(num_vars, clauses, seed):
+    rng = random.Random(seed)
+    return CnfFormula(num_vars, tuple(
+        tuple(v if rng.random() < 0.5 else -v for v in rng.sample(range(1, num_vars + 1), 3))
+        for _ in range(clauses)
+    ))
+
+
+def bounded_corpus():
+    """Seeded instances of every family and construction, small enough for
+    Floyd-Warshall."""
+    graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
+              enumerate(((2, 0), (30, 0), (40, 3), (60, 8)))]
+    graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
+               enumerate(((10, 0.5), (25, 0.15), (40, 0.1)))]
+    graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
+               enumerate(((20, 0), (30, 2), (40, 3)))]
+    graphs += [bipartite_girth_construction(gen_connected_er(12, 0.3, seed)).graph
+               for seed in range(2)]
+    graphs += [bisection_construction(gen_tree_plus_k(12, 2, seed)).graph
+               for seed in range(2)]
+    graphs += [sat_to_diameter(f).graph for f in (
+        CnfFormula(2, ((1, -2), (-1, 2))),
+        CnfFormula(1, ((1,), (-1,))),
+        CnfFormula(4, ((1, -2, 3), (-1, 2, -4), (2, 3, 4), (-3, -4, 1))),
+    )]
+    return graphs
+
+
+class TestSolveBounded:
+    @pytest.mark.parametrize("g", bounded_corpus())
+    def test_seeded_corpus_matches_both_oracles(self, g):
+        events = []
+        got = solve_bounded(g, events.append)
+        assert got == naive_diameter(g) == diameter_floyd(g)
+        assert len(events) == 1
+        assert events[0]["lower"] == events[0]["upper"] == got
+        assert 1 <= events[0]["passes"] <= g.n
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(connected_only=True))
+    def test_matches_floyd_warshall(self, g):
+        assert solve_bounded(g) == naive_diameter(g) == diameter_floyd(g)
+
+    @pytest.mark.parametrize("g", [
+        circulant(7, 1), circulant(8, 1), circulant(30, 1), circulant(31, 1),
+        circulant(40, 3), from_edge_list([(i, j) for i in range(6) for j in range(i)], 6),
+    ], ids=["C7", "C8", "C30", "C31", "C40-3", "K6"])
+    def test_vertex_transitive(self, g):
+        assert solve_bounded(g) == naive_diameter(g) == diameter_floyd(g)
+
+    def test_single_vertex(self):
+        assert solve_bounded(from_edge_list([], 1)) == 0
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(VertexRangeError):
+            solve_bounded(from_edge_list([], 0))
+
+    def test_rejects_disconnected_graph(self):
+        with pytest.raises(DisconnectedGraphError):
+            solve_bounded(from_edge_list([(0, 1), (2, 3)], 4))
+
+
+def test_much_faster_than_naive_on_thm6():
+    g = sat_to_diameter(random_3cnf(12, 50, 0)).graph
+    assert solve_bounded(g) == naive_diameter(g)
+    assert 5 * best_of_three(solve_bounded, g) <= best_of_three(naive_diameter, g)
+
+
+def test_no_pruning_within_a_quarter_of_naive():
+    g = circulant(500, 21)
+    assert solve_bounded(g) == naive_diameter(g)
+    assert best_of_three(solve_bounded, g) <= 1.25 * best_of_three(naive_diameter, g)
 
 
 class TestComponents:

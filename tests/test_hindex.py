@@ -1,5 +1,4 @@
 import math
-import time
 from collections import Counter
 
 import pytest
@@ -21,7 +20,7 @@ from paramdiam import (
     truncated_bfs_count,
 )
 from oracles import floyd_warshall
-from test_graph import graphs
+from test_graph import best_of_three, graphs
 
 
 class TestTruncatedBfs:
@@ -162,15 +161,6 @@ class TestPerTypeCertification:
             via_hub = min(a + b for a, b in zip(fingerprint[ev["vertex"]], ev["type"]))
             assert via_hub > ev["e"]
             assert ev["type"] in fingerprint.values()
-
-
-def best_of_three(fn, g):
-    best = math.inf
-    for _ in range(3):
-        start = time.perf_counter()
-        fn(g)
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 @pytest.mark.parametrize("make", [
