@@ -5,33 +5,14 @@ four exact diameter solvers keyed to different parameters, one exact
 solver that needs no parameter (``solve_bounded``, which prunes BFS
 sources with eccentricity bounds), lower-bound style graph constructions,
 and a CLI wrapping all of it.
+
+The package root exports the solvers, the graph type, edge-list I/O and
+the error types; everything else is imported from its submodule
+(``paramdiam.params``, ``paramdiam.constructions``, ...).
 """
 
-from .cograph import (
-    TypeRecord,
-    build_types,
-    component_diameters,
-    solve_cograph,
-)
-from .constructions import (
-    CnfFormula,
-    ConstructionOutput,
-    bipartite_girth_construction,
-    bisection_construction,
-    format_dimacs_cnf,
-    gen_connected_er,
-    gen_random_cograph_plus,
-    gen_tree_plus_k,
-    is_satisfiable,
-    parse_dimacs_cnf,
-    sat_to_diameter,
-)
-from .deletion import (
-    ApspMatrix,
-    apsp_by_bfs,
-    combine_apsp,
-    solve_clique_modulator,
-)
+from .cograph import solve_cograph
+from .deletion import solve_clique_modulator
 from .errors import (
     CnfParseError,
     ContractViolationError,
@@ -46,56 +27,23 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from .fes import (
-    PathCycleDecomposition,
-    WeightedDiameterInstance,
-    apply_rr1,
-    apply_rr2,
-    case2_same_path,
-    case3_path_pair,
-    decompose,
-    find_pending_cycles,
-    max_weighted_pair_cyclic,
-    reduce_exhaustively,
-    solve_fes,
-    weighted_diameter_oracle,
-)
+from .fes import solve_fes
 from .graph import (
-    UNREACHABLE,
     Graph,
-    bfs,
-    connected_components,
-    eccentricity,
     format_edge_list,
     from_edge_list,
-    girth,
-    induced_subgraph,
-    is_bipartite,
-    is_connected,
     load_edge_list,
     naive_diameter,
     parse_edge_list,
-    require_connected,
     save_edge_list,
     solve_bounded,
 )
-from .hindex import solve_hd, truncated_bfs_count
-from .params import (
-    clique_modulator_2approx,
-    cograph_modulator,
-    find_induced_p4,
-    h_index,
-    hub_set,
-    parameter_report,
-)
+from .hindex import solve_hd
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApspMatrix",
-    "CnfFormula",
     "CnfParseError",
-    "ConstructionOutput",
     "ContractViolationError",
     "DisconnectedGraphError",
     "DuplicateEdgeError",
@@ -106,58 +54,17 @@ __all__ = [
     "GraphInputError",
     "InvalidModulatorError",
     "ParamDiamError",
-    "PathCycleDecomposition",
     "SelfLoopError",
-    "TypeRecord",
-    "UNREACHABLE",
     "VertexRangeError",
-    "WeightedDiameterInstance",
-    "apply_rr1",
-    "apply_rr2",
-    "apsp_by_bfs",
-    "bfs",
-    "bipartite_girth_construction",
-    "bisection_construction",
-    "build_types",
-    "case2_same_path",
-    "case3_path_pair",
-    "clique_modulator_2approx",
-    "cograph_modulator",
-    "combine_apsp",
-    "component_diameters",
-    "connected_components",
-    "decompose",
-    "eccentricity",
-    "find_induced_p4",
-    "find_pending_cycles",
-    "format_dimacs_cnf",
     "format_edge_list",
     "from_edge_list",
-    "gen_connected_er",
-    "gen_random_cograph_plus",
-    "gen_tree_plus_k",
-    "girth",
-    "h_index",
-    "hub_set",
-    "induced_subgraph",
-    "is_bipartite",
-    "is_connected",
-    "is_satisfiable",
     "load_edge_list",
-    "max_weighted_pair_cyclic",
     "naive_diameter",
-    "parameter_report",
-    "parse_dimacs_cnf",
     "parse_edge_list",
-    "reduce_exhaustively",
-    "require_connected",
     "save_edge_list",
-    "sat_to_diameter",
     "solve_bounded",
-    "solve_cograph",
     "solve_clique_modulator",
+    "solve_cograph",
     "solve_fes",
     "solve_hd",
-    "truncated_bfs_count",
-    "weighted_diameter_oracle",
 ]

@@ -1,4 +1,4 @@
-"""Command-line entry point: params, solve, generate, bench.
+"""Command-line entry point: params, solve, generate.
 
 Exit codes are part of the contract so harnesses can script against them:
 0 success, 2 unparseable input, 3 disconnected graph, 4 invalid modulator,
@@ -8,7 +8,6 @@ Exit codes are part of the contract so harnesses can script against them:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
@@ -208,41 +207,6 @@ def _require_seed(args) -> None:
         raise ParamDiamError(f"--seed is required for family {args.family!r}")
 
 
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    algos = [a for a in args.algos.split(",") if a]
-    for a in algos:
-        if a not in ALGOS or a == "auto":
-            raise ParamDiamError(f"cannot bench algorithm {a!r}")
-    rows = []
-    for n in sizes:
-        for rep in range(args.repeats):
-            seed = args.seed + rep
-            if args.family == "tree-plus-k":
-                g = gen_tree_plus_k(n, args.k, seed)
-            elif args.family == "er":
-                g = gen_connected_er(n, args.p, seed)
-            elif args.family == "cograph-plus":
-                g = gen_random_cograph_plus(n, args.extra, seed)
-            else:  # pragma: no cover - argparse restricts choices
-                raise ParamDiamError(f"unknown family {args.family!r}")
-            for algo in algos:
-                start = time.perf_counter()
-                _, used = _run_solver(g, algo, None, None)
-                ms = (time.perf_counter() - start) * 1000.0
-                param = next(iter(used.values()), 0)
-                rows.append((g.n, g.m, param, algo, f"{ms:.3f}"))
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["n", "m", "param", "algo", "ms"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paramdiam",
@@ -282,18 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="required for the random families")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("bench", help="timings CSV over a seeded family")
-    p.add_argument("--family", choices=["tree-plus-k", "er", "cograph-plus"], required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated n values")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--algos", default="fes,naive")
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--extra", type=int, default=2)
-    p.add_argument("--p", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", help="CSV path; stdout when omitted")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -101,13 +101,10 @@ def solve_clique_modulator(g: Graph, k_set: set[int] | None = None) -> int:
         if not (0 <= v < g.n):
             raise InvalidModulatorError(f"modulator vertex {v} outside 0..{g.n - 1}")
     rest = [v for v in range(g.n) if v not in k_set]
-    masks = g.neighbor_masks
-    rest_mask = 0
-    for v in rest:
-        rest_mask |= 1 << v
-    for v in rest:
-        if rest_mask & ~masks[v] & ~(1 << v):
-            raise InvalidModulatorError("remainder is not a clique")
+    # each edge inside the remainder is counted from both of its ends
+    inside = sum(1 for v in rest for w in g.adjacency[v] if w not in k_set)
+    if inside != len(rest) * (len(rest) - 1):
+        raise InvalidModulatorError("remainder is not a clique")
     best = 1 if len(rest) >= 2 else 0
     for x in sorted(k_set):
         row = _bfs_dist(g.adjacency, g.n, x)

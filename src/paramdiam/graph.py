@@ -55,12 +55,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        a = self.adjacency[u]
-        if len(a) > len(self.adjacency[v]):
-            a, u, v = self.adjacency[v], v, u
-        return v in a
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
         for u in range(self.n):

@@ -7,63 +7,84 @@ repeated runs pick identical modulators.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .errors import VertexRangeError
-from .graph import Graph, induced_subgraph, require_connected
+from .graph import Graph, require_connected
 
 
-def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
-    """An induced path a-b-c-d (exactly edges ab, bc, cd), or None.
+def _p4_scan(g: Graph) -> Iterator[tuple[int, int, int, int]]:
+    """Yield induced P4s a-b-c-d, deleting each one's vertices as it goes.
 
-    None iff the graph is a cograph.  Scans each edge (b, c) for a suitable
-    private-neighbor pair using adjacency bitmasks; O(n*m) word operations.
+    One pass over the edges (b, c) in ascending b, then in adjacency order,
+    against an ``alive`` bitmask: a P4 is looked for among alive vertices
+    only, with a the smallest candidate that has a partner d and d the
+    smallest partner of a.  After a yield the four vertices leave ``alive``.
+
+    This finds the same P4s, in the same order, as restarting the scan from
+    the first edge after every deletion.  Deleting vertices never creates
+    an induced P4, so an edge with no P4 earlier in the pass has none
+    later, and a restarted scan would pass over it; the edges of b after
+    the hit are skipped either way, since b itself is deleted.
+    O(n*m) word operations in all.
     """
     masks = g.neighbor_masks
-    full = (1 << g.n) - 1
+    alive = (1 << g.n) - 1
     for b in range(g.n):
-        mb = masks[b]
+        if not alive >> b & 1:
+            continue
+        mb = masks[b] & alive
         for c in g.adjacency[b]:
+            if not alive >> c & 1:
+                continue
+            mc = masks[c] & alive
             # candidates adjacent to b but not c, and vice versa
-            a_cands = mb & ~masks[c] & ~(1 << c)
-            d_cands = masks[c] & ~mb & ~(1 << b)
-            if not a_cands or not d_cands:
+            a_cands = mb & ~mc & ~(1 << c)
+            d_cands = mc & ~mb & ~(1 << b)
+            if not d_cands:
                 continue
             rest = a_cands
             while rest:
                 low = rest & -rest
                 a = low.bit_length() - 1
-                ok = d_cands & ~masks[a] & ~low & full
+                ok = d_cands & ~masks[a]
                 if ok:
-                    d = (ok & -ok).bit_length() - 1
-                    return (a, b, c, d)
+                    break
                 rest ^= low
-    return None
+            else:
+                continue
+            d = (ok & -ok).bit_length() - 1
+            alive &= ~(1 << a | 1 << b | 1 << c | 1 << d)
+            yield (a, b, c, d)
+            break
+
+
+def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
+    """An induced path a-b-c-d (exactly edges ab, bc, cd), or None.
+
+    None iff the graph is a cograph.  The first P4 of :func:`_p4_scan`.
+    """
+    return next(_p4_scan(g), None)
 
 
 def cograph_modulator(g: Graph, limit: int | None = None) -> set[int]:
     """Vertex set whose removal leaves the graph P4-free.
 
-    Iteratively peels all four vertices of some induced P4; the result size
-    is a multiple of four and at most four times the optimum.  With a
-    ``limit``, peeling stops once more than ``limit`` vertices are removed:
+    The union of the disjoint P4s that one :func:`_p4_scan` pass deletes;
+    the result size is a multiple of four and at most four times the
+    optimum, since every modulator meets each of those P4s.  With a
+    ``limit``, the scan stops once more than ``limit`` vertices are taken:
     the result is then the full modulator if that has at most ``limit``
     vertices, and otherwise a part of it with more than ``limit`` vertices
     (not a valid modulator), which is enough to compare its size with
     ``limit`` or any smaller number.
     """
     removed: set[int] = set()
-    current = g
-    order = list(range(g.n))
-    while True:
-        hit = find_induced_p4(current)
-        if hit is None:
-            return removed
-        removed.update(order[v] for v in hit)
+    for hit in _p4_scan(g):
+        removed.update(hit)
         if limit is not None and len(removed) > limit:
-            return removed
-        keep = [v for v in range(current.n) if v not in hit]
-        current, sub_order = induced_subgraph(current, keep)
-        order = [order[v] for v in sub_order]
+            break
+    return removed
 
 
 def h_index(g: Graph) -> int:
@@ -91,38 +112,51 @@ def hub_set(g: Graph) -> set[int]:
 def clique_modulator_2approx(g: Graph) -> set[int]:
     """Deletion set leaving a clique; at most twice the minimum size.
 
-    Repeatedly inspects the smallest remaining vertex: a vertex adjacent to
-    everything else is kept, otherwise it and its smallest non-neighbor are
-    both deleted.  Each deleted pair intersects every clique-deletion set,
-    hence the factor-2 bound.
+    One walk over the vertices in ascending order.  An alive vertex adjacent
+    to every other alive vertex is kept, otherwise it and its smallest
+    alive non-neighbor are both deleted; either way it stops being alive.
+    Each deleted pair intersects every clique-deletion set, hence the
+    factor-2 bound.
+
+    Every alive vertex at v's turn is at least v, so the non-neighbor is
+    found by stepping upwards from v + 1 through alive vertices only, along
+    a ``nxt`` array: an alive vertex points to itself, a dead one to a later
+    vertex with no alive vertex in between (shortened by path halving).  Every step before
+    the hit lands on an alive neighbor of v, so the walk costs O(m) plus
+    the pointer chasing, where a ``min`` over the alive set at each turn
+    would cost O(n^2).
     """
-    alive = set(range(g.n))
-    deg = {v: len(g.adjacency[v]) for v in alive}
+    deg = [len(a) for a in g.adjacency]
+    alive_count = g.n
+    nxt = list(range(g.n + 1))
+
+    def next_alive(u: int) -> int:
+        while nxt[u] != u:
+            nxt[u] = nxt[nxt[u]]
+            u = nxt[u]
+        return u
+
+    def drop(x: int) -> None:
+        nonlocal alive_count
+        alive_count -= 1
+        nxt[x] = x + 1
+        for u in g.adjacency[x]:
+            deg[u] -= 1  # read only while u is alive
+
     modulator: set[int] = set()
-    pending = sorted(alive)
-    i = 0
-    while i < len(pending):
-        v = pending[i]
-        if v not in alive:
-            i += 1
+    for v in range(g.n):
+        if nxt[v] != v:
             continue
-        if deg[v] == len(alive) - 1:
-            alive.discard(v)
-            for w in g.adjacency[v]:
-                if w in alive:
-                    deg[w] -= 1
-            i += 1
+        if deg[v] == alive_count - 1:
+            drop(v)
             continue
         nbrs = set(g.adjacency[v])
-        w = min(u for u in alive if u != v and u not in nbrs)
+        w = next_alive(v + 1)
+        while w in nbrs:
+            w = next_alive(w + 1)
         modulator.update((v, w))
-        for x in (v, w):
-            alive.discard(x)
-        for x in (v, w):
-            for u in g.adjacency[x]:
-                if u in alive:
-                    deg[u] -= 1
-        i += 1
+        drop(v)
+        drop(w)
     return modulator
 
 

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and avoids the code paths it checks:
 distances come from Floyd-Warshall rather than BFS, components from
 union-find rather than traversal, and the structural searches enumerate
-subsets outright.
+subsets outright.  The modulator references at the end are the
+peel-and-restart and quadratic versions that ``paramdiam.params`` replaced,
+kept to check that the single-pass versions return the same sets.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from paramdiam import Graph
+from paramdiam.graph import induced_subgraph
 
 INF = float("inf")
 
@@ -161,3 +164,76 @@ def weighted_diameter_floyd(g: Graph, pen, s: int) -> int:
             assert dist[i][j] != INF
             best = max(best, pen[i] + int(dist[i][j]) + pen[j])
     return best
+
+
+def find_induced_p4_restarting(g: Graph) -> tuple[int, int, int, int] | None:
+    """The first induced P4 a-b-c-d over edges (b, c) in scan order."""
+    masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    for b in range(g.n):
+        mb = masks[b]
+        for c in g.adjacency[b]:
+            a_cands = mb & ~masks[c] & ~(1 << c)
+            d_cands = masks[c] & ~mb & ~(1 << b)
+            if not a_cands or not d_cands:
+                continue
+            rest = a_cands
+            while rest:
+                low = rest & -rest
+                a = low.bit_length() - 1
+                ok = d_cands & ~masks[a] & ~low & full
+                if ok:
+                    d = (ok & -ok).bit_length() - 1
+                    return (a, b, c, d)
+                rest ^= low
+    return None
+
+
+def cograph_modulator_restarting(g: Graph, limit: int | None = None) -> set[int]:
+    """Peel a P4, rebuild the induced subgraph, rescan from the first edge."""
+    removed: set[int] = set()
+    current = g
+    order = list(range(g.n))
+    while True:
+        hit = find_induced_p4_restarting(current)
+        if hit is None:
+            return removed
+        removed.update(order[v] for v in hit)
+        if limit is not None and len(removed) > limit:
+            return removed
+        keep = [v for v in range(current.n) if v not in hit]
+        current, sub_order = induced_subgraph(current, keep)
+        order = [order[v] for v in sub_order]
+
+
+def clique_modulator_quadratic(g: Graph) -> set[int]:
+    """Keep a vertex adjacent to all alive others, else delete it and its
+    smallest alive non-neighbor, found by a ``min`` over the alive set."""
+    alive = set(range(g.n))
+    deg = {v: len(g.adjacency[v]) for v in alive}
+    modulator: set[int] = set()
+    pending = sorted(alive)
+    i = 0
+    while i < len(pending):
+        v = pending[i]
+        if v not in alive:
+            i += 1
+            continue
+        if deg[v] == len(alive) - 1:
+            alive.discard(v)
+            for w in g.adjacency[v]:
+                if w in alive:
+                    deg[w] -= 1
+            i += 1
+            continue
+        nbrs = set(g.adjacency[v])
+        w = min(u for u in alive if u != v and u not in nbrs)
+        modulator.update((v, w))
+        for x in (v, w):
+            alive.discard(x)
+        for x in (v, w):
+            for u in g.adjacency[x]:
+                if u in alive:
+                    deg[u] -= 1
+        i += 1
+    return modulator

@@ -8,39 +8,37 @@ import random
 import sys
 import time
 from paramdiam import (
+    from_edge_list,
+    naive_diameter,
+    solve_clique_modulator,
+    solve_cograph,
+    solve_fes,
+    solve_hd,
+)
+from paramdiam.constructions import (
     CnfFormula,
-    WeightedDiameterInstance,
-    apply_rr1,
-    apply_rr2,
-    apsp_by_bfs,
-    ApspMatrix,
-    bfs,
     bipartite_girth_construction,
     bisection_construction,
-    case2_same_path,
-    case3_path_pair,
-    clique_modulator_2approx,
-    cograph_modulator,
-    combine_apsp,
-    decompose,
-    find_pending_cycles,
-    from_edge_list,
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
-    girth,
-    induced_subgraph,
-    is_bipartite,
     is_satisfiable,
-    naive_diameter,
-    reduce_exhaustively,
     sat_to_diameter,
-    solve_cograph,
-    solve_clique_modulator,
-    solve_fes,
-    solve_hd,
+)
+from paramdiam.deletion import ApspMatrix, apsp_by_bfs, combine_apsp
+from paramdiam.fes import (
+    WeightedDiameterInstance,
+    apply_rr1,
+    apply_rr2,
+    case2_same_path,
+    case3_path_pair,
+    decompose,
+    find_pending_cycles,
+    reduce_exhaustively,
     weighted_diameter_oracle,
 )
+from paramdiam.graph import bfs, girth, induced_subgraph, is_bipartite
+from paramdiam.params import clique_modulator_2approx, cograph_modulator
 from oracles import (
     case2_quadratic,
     case3_quadratic,

@@ -2,17 +2,13 @@ import json
 
 import pytest
 
-from paramdiam import (
-    cograph_modulator,
-    from_edge_list,
+from paramdiam import from_edge_list, load_edge_list, naive_diameter, save_edge_list
+from paramdiam.constructions import (
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
-    h_index,
-    load_edge_list,
-    naive_diameter,
-    save_edge_list,
 )
+from paramdiam.params import cograph_modulator, h_index
 from paramdiam.cli import _pick_auto, main
 
 
@@ -179,26 +175,6 @@ class TestGenerate:
         )
         assert code == 0
         assert naive_diameter(load_edge_list(out_path)) == 5
-
-
-class TestBench:
-    def test_csv_shape(self, capsys, tmp_path):
-        out_path = str(tmp_path / "bench.csv")
-        code, _, _ = run(
-            capsys,
-            "bench", "--family", "tree-plus-k", "--sizes", "30,60",
-            "--repeats", "2", "--algos", "fes,naive", "--seed", "0",
-            "--out", out_path,
-        )
-        assert code == 0
-        with open(out_path, encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-        assert lines[0] == "n,m,param,algo,ms"
-        assert len(lines) == 1 + 2 * 2 * 2
-        for line in lines[1:]:
-            n, m, param, algo, ms = line.split(",")
-            assert algo in {"fes", "naive"}
-            float(ms)
 
 
 class TestSelectMs:

@@ -5,17 +5,14 @@ from hypothesis import strategies as st
 from paramdiam import (
     DisconnectedGraphError,
     InvalidModulatorError,
-    bfs,
-    build_types,
-    cograph_modulator,
-    component_diameters,
-    connected_components,
     from_edge_list,
-    gen_random_cograph_plus,
-    induced_subgraph,
     naive_diameter,
     solve_cograph,
 )
+from paramdiam.cograph import build_types, component_diameters
+from paramdiam.constructions import gen_random_cograph_plus
+from paramdiam.graph import bfs, connected_components, induced_subgraph
+from paramdiam.params import cograph_modulator
 from test_graph import graphs
 
 

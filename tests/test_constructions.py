@@ -6,26 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramdiam import (
-    CnfFormula,
     CnfParseError,
     EmptyClauseError,
     GenerationError,
+    from_edge_list,
+    naive_diameter,
+)
+from paramdiam.constructions import (
+    CnfFormula,
     bipartite_girth_construction,
     bisection_construction,
-    find_induced_p4,
     format_dimacs_cnf,
-    from_edge_list,
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
-    girth,
-    is_bipartite,
-    is_connected,
     is_satisfiable,
-    naive_diameter,
     parse_dimacs_cnf,
     sat_to_diameter,
 )
+from paramdiam.graph import girth, is_bipartite, is_connected
+from paramdiam.params import find_induced_p4
 from test_graph import graphs
 
 TRIANGLE_PLUS_TAIL = from_edge_list([(0, 1), (0, 2), (1, 2), (2, 3)], 4)

@@ -4,18 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramdiam import (
-    UNREACHABLE,
-    ApspMatrix,
     DisconnectedGraphError,
     InvalidModulatorError,
-    apsp_by_bfs,
-    clique_modulator_2approx,
-    combine_apsp,
     from_edge_list,
-    induced_subgraph,
     naive_diameter,
     solve_clique_modulator,
 )
+from paramdiam.deletion import ApspMatrix, apsp_by_bfs, combine_apsp
+from paramdiam.graph import UNREACHABLE, induced_subgraph
+from paramdiam.params import clique_modulator_2approx
 from oracles import floyd_warshall
 from test_graph import graphs
 

@@ -4,26 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramdiam import (
-    ContractViolationError,
+from paramdiam import ContractViolationError, from_edge_list, naive_diameter, solve_fes
+from paramdiam.constructions import gen_connected_er, gen_tree_plus_k
+from paramdiam.fes import (
     WeightedDiameterInstance,
     apply_rr1,
     apply_rr2,
+    case1_high_bfs,
     case2_same_path,
+    case3_all_paths,
     case3_path_pair,
     decompose,
     find_pending_cycles,
-    from_edge_list,
-    gen_connected_er,
-    gen_tree_plus_k,
-    induced_subgraph,
     max_weighted_pair_cyclic,
-    naive_diameter,
     reduce_exhaustively,
-    solve_fes,
     weighted_diameter_oracle,
 )
-from paramdiam.fes import case1_high_bfs, case3_all_paths
+from paramdiam.graph import induced_subgraph
 from oracles import (
     case2_quadratic,
     case3_quadratic,

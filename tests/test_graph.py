@@ -8,34 +8,38 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramdiam import (
-    UNREACHABLE,
-    CnfFormula,
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
     SelfLoopError,
     VertexRangeError,
-    bfs,
-    bipartite_girth_construction,
-    bisection_construction,
-    connected_components,
-    eccentricity,
     format_edge_list,
     from_edge_list,
+    naive_diameter,
+    parse_edge_list,
+    solve_bounded,
+)
+from paramdiam.constructions import (
+    CnfFormula,
+    bipartite_girth_construction,
+    bisection_construction,
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
+    sat_to_diameter,
+)
+from paramdiam.graph import (
+    UNREACHABLE,
+    _bfs,
+    bfs,
+    connected_components,
+    eccentricity,
     girth,
     induced_subgraph,
     is_bipartite,
     is_connected,
-    naive_diameter,
-    parse_edge_list,
     require_connected,
-    sat_to_diameter,
-    solve_bounded,
 )
-from paramdiam.graph import _bfs
 from oracles import components_union_find, diameter_floyd, floyd_warshall
 
 
@@ -224,6 +228,19 @@ class TestSolveBounded:
     ], ids=["C7", "C8", "C30", "C31", "C40-3", "K6"])
     def test_vertex_transitive(self, g):
         assert solve_bounded(g) == naive_diameter(g) == diameter_floyd(g)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+
+        @settings(max_examples=150, deadline=None)
+        @given(graphs(max_n=30, connected_only=True))
+        def check(g):
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n))
+            ref.add_edges_from(g.edges())
+            assert solve_bounded(g) == nx.diameter(ref)
+
+        check()
 
     def test_single_vertex(self):
         assert solve_bounded(from_edge_list([], 1)) == 0

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 from paramdiam import (
     DisconnectedGraphError,
     InvalidModulatorError,
-    bfs,
-    bipartite_girth_construction,
-    bisection_construction,
     from_edge_list,
-    gen_connected_er,
-    gen_tree_plus_k,
-    hub_set,
     naive_diameter,
     solve_hd,
-    truncated_bfs_count,
 )
+from paramdiam.constructions import (
+    bipartite_girth_construction,
+    bisection_construction,
+    gen_connected_er,
+    gen_tree_plus_k,
+)
+from paramdiam.graph import bfs
+from paramdiam.hindex import truncated_bfs_count
+from paramdiam.params import hub_set
 from oracles import floyd_warshall
 from test_graph import best_of_three, graphs
 

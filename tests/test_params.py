@@ -1,22 +1,36 @@
+import time
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramdiam import (
+from paramdiam import from_edge_list
+from paramdiam.constructions import (
+    bipartite_girth_construction,
+    bisection_construction,
+    gen_connected_er,
+    gen_random_cograph_plus,
+    gen_tree_plus_k,
+    sat_to_diameter,
+)
+from paramdiam.graph import induced_subgraph
+from paramdiam.params import (
     clique_modulator_2approx,
     cograph_modulator,
     find_induced_p4,
-    from_edge_list,
-    gen_connected_er,
-    gen_random_cograph_plus,
     h_index,
     hub_set,
-    induced_subgraph,
     parameter_report,
 )
-from oracles import has_induced_p4, min_clique_modulator_size
-from test_graph import graphs
+from oracles import (
+    clique_modulator_quadratic,
+    cograph_modulator_restarting,
+    find_induced_p4_restarting,
+    has_induced_p4,
+    min_clique_modulator_size,
+)
+from test_graph import graphs, random_3cnf
 
 
 def is_clique(g, vertices):
@@ -147,3 +161,47 @@ class TestCographModulatorLimit:
     @given(graphs(max_n=10), st.integers(-1, 12))
     def test_full_or_larger_than_limit(self, g, limit):
         check_limited_modulator(g, limit)
+
+
+def single_scan_corpus():
+    """Seeded graphs of every family and construction, small enough for the
+    peel-and-restart reference to take every limit."""
+    graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
+              enumerate(((30, 0), (120, 5), (300, 20)))]
+    graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
+               enumerate(((60, 0.05), (100, 0.04), (30, 0.5), (50, 0.4), (40, 0.9)))]
+    graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
+               enumerate(((30, 2), (60, 6), (40, 0)))]
+    graphs += [bipartite_girth_construction(gen_connected_er(15, 0.3, 1)).graph,
+               bisection_construction(gen_tree_plus_k(15, 3, 2)).graph,
+               sat_to_diameter(random_3cnf(4, 6, 3)).graph]
+    return graphs
+
+
+def assert_same_as_restarting(g, limits):
+    assert cograph_modulator(g) == cograph_modulator_restarting(g)
+    for limit in limits:
+        assert cograph_modulator(g, limit) == cograph_modulator_restarting(g, limit)
+    assert find_induced_p4(g) == find_induced_p4_restarting(g)
+    assert clique_modulator_2approx(g) == clique_modulator_quadratic(g)
+
+
+class TestSingleScan:
+    """One alive-mask scan returns what peel-and-restart returned."""
+
+    @pytest.mark.parametrize("g", single_scan_corpus())
+    def test_seeded_corpus_every_limit(self, g):
+        size = len(cograph_modulator_restarting(g))
+        assert_same_as_restarting(g, range(-1, size + 5))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=14), st.integers(-1, 16))
+    def test_random_graphs(self, g, limit):
+        assert_same_as_restarting(g, [limit])
+
+    def test_report_on_ten_thousand_vertices_in_seconds(self):
+        g = gen_tree_plus_k(10000, 10, 1)
+        start = time.perf_counter()
+        rep = parameter_report(g)
+        assert time.perf_counter() - start < 3.0
+        assert rep["cograph_modulator_size"] > 0
