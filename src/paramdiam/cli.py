@@ -59,6 +59,10 @@ ALGOS = (
 )
 MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique", "deletion")
 
+# auto's routing thresholds: the largest cograph modulator and h-index it routes
+COGRAPH_THRESHOLD = 12
+HINDEX_THRESHOLD = 40
+
 
 def _load_modulator(path: str) -> set[int]:
     with open(path, "r", encoding="utf-8") as fh:
@@ -84,9 +88,9 @@ def _pick_auto(
 ) -> tuple[str, set[int]]:
     """The algorithm to run, plus the cograph modulator built to choose it.
 
-    The modulator is peeled only until it exceeds the largest size a rule
-    below compares it with, so it is complete whenever it is small enough
-    for the cograph route.
+    The modulator scan stops once the modulator exceeds the largest size a
+    rule below compares it with, so it is complete whenever it is small
+    enough for the cograph route.
     """
     k_fes = g.m - g.n + 1
     h = h_index(g)
@@ -142,7 +146,7 @@ def cmd_solve(args) -> int:
     select_ms = 0.0
     if algo == "auto":
         start = time.perf_counter()
-        algo, k = _pick_auto(g, args.cograph_threshold, args.hindex_threshold)
+        algo, k = _pick_auto(g, COGRAPH_THRESHOLD, HINDEX_THRESHOLD)
         select_ms = (time.perf_counter() - start) * 1000.0
         if algo == "cograph":
             modulator = k
@@ -228,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--verify", action="store_true", help="recompute with the naive oracle")
     p.add_argument("--trace", action="store_true", help="JSON trace lines on stderr")
-    p.add_argument("--cograph-threshold", type=int, default=12)
-    p.add_argument("--hindex-threshold", type=int, default=40)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("generate", help="emit a construction or random instance")

@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
-from .graph import (
-    Graph,
-    _bfs_dist,
-    connected_components,
-    induced_subgraph,
-    is_connected,
-)
+from .graph import Graph, bfs_rows, connected_components, is_connected
 from .params import cograph_modulator, find_induced_p4
 
 DISTANCE_CAP = 4  # fingerprint entries: min(dist, 4)
@@ -42,39 +38,40 @@ class TypeRecord:
     representatives: tuple[tuple[int, int], ...]
 
 
-def component_diameters(g_minus_k: Graph) -> list[int]:
-    """Per-component diameter, each 0 (singleton), 1 (clique) or 2.
+def component_diameters(g: Graph, labels: list[int]) -> list[int]:
+    """Per-component diameter of G - K, each 0 (singleton), 1 (clique) or 2.
 
-    Raises InvalidModulatorError if some component has diameter above two,
-    which a valid modulator never leaves behind.  The non-clique case is
-    confirmed by checking that every 2-step neighborhood ball covers the
-    whole component (bitmask union per vertex).
+    ``labels`` are the component labels of G - K, -1 on K, as
+    :func:`connected_components` gives them.  Raises InvalidModulatorError
+    if some component has diameter above two, which a valid modulator never
+    leaves behind.  The non-clique case is confirmed by checking that every
+    2-step neighborhood ball, grown only through neighbours in the same
+    component, covers the whole component (bitmask union per vertex).
     """
-    labels = connected_components(g_minus_k)
-    n_labels = max(labels, default=-1) + 1
-    sizes = [0] * n_labels
-    edge_counts = [0] * n_labels
-    comp_mask = [0] * n_labels
+    members: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    comp_mask = [0] * len(members)
     for v, lab in enumerate(labels):
-        sizes[lab] += 1
-        comp_mask[lab] |= 1 << v
-    for u, v in g_minus_k.edges():
-        edge_counts[labels[u]] += 1
-    masks = g_minus_k.neighbor_masks
+        if lab >= 0:
+            members[lab].append(v)
+            comp_mask[lab] |= 1 << v
+    edge_counts = [0] * len(members)
+    for u, v in g.edges():
+        if labels[u] == labels[v] >= 0:
+            edge_counts[labels[u]] += 1
+    masks = g.neighbor_masks
     diams = []
-    for lab in range(n_labels):
-        n_c = sizes[lab]
+    for lab, vertices in enumerate(members):
+        n_c = len(vertices)
         if n_c == 1:
             diams.append(0)
         elif edge_counts[lab] == n_c * (n_c - 1) // 2:
             diams.append(1)
         else:
-            for v in range(g_minus_k.n):
-                if labels[v] != lab:
-                    continue
+            for v in vertices:
                 ball = masks[v] | (1 << v)
-                for w in g_minus_k.adjacency[v]:
-                    ball |= masks[w]
+                for w in g.adjacency[v]:
+                    if labels[w] == lab:
+                        ball |= masks[w]
                 if ball & comp_mask[lab] != comp_mask[lab]:
                     raise InvalidModulatorError(
                         "a component of the remainder has diameter above two"
@@ -83,24 +80,18 @@ def component_diameters(g_minus_k: Graph) -> list[int]:
     return diams
 
 
-def build_types(
-    g: Graph,
-    k_list: list[int],
-    bfs_rows: dict[int, list[int]],
-    labels: dict[int, int],
-) -> list[TypeRecord]:
+def build_types(rows: np.ndarray, labels: list[int]) -> list[TypeRecord]:
     """Group the vertices outside K by capped distance fingerprint.
 
-    ``bfs_rows`` maps each modulator vertex to its full-graph BFS row and
-    ``labels`` each non-modulator vertex to its component of G - K.
+    ``rows`` is the :func:`bfs_rows` table of the modulator vertices, and
+    ``labels`` gives each vertex its component of G - K, -1 on K.
     """
     records: dict[tuple[int, ...], TypeRecord] = {}
-    in_k = set(k_list)
-    for v in range(g.n):
-        if v in in_k:
+    capped = np.minimum(rows, DISTANCE_CAP).T.tolist()
+    for v, comp in enumerate(labels):
+        if comp < 0:
             continue
-        vec = tuple(min(bfs_rows[x][v], DISTANCE_CAP) for x in k_list)
-        comp = labels[v]
+        vec = tuple(capped[v])
         rec = records.get(vec)
         if rec is None:
             records[vec] = TypeRecord(vec, 1, comp, ((v, comp),))
@@ -113,7 +104,7 @@ def build_types(
 
 
 def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
-    """Exact diameter; K defaults to the iteratively peeled modulator.
+    """Exact diameter; K defaults to the one-scan cograph modulator.
 
     Correct for any valid modulator, minimal or not.  With an empty K the
     graph itself must be P4-free.
@@ -127,28 +118,18 @@ def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
     for v in k_set:
         if not (0 <= v < g.n):
             raise InvalidModulatorError(f"modulator vertex {v} outside 0..{g.n - 1}")
-    in_k = set(k_set)
-    k_list = sorted(in_k)
+    k_list = sorted(k_set)
     if not k_list and find_induced_p4(g) is not None:
         raise InvalidModulatorError("empty modulator but the graph is not P4-free")
-    rest = [v for v in range(g.n) if v not in in_k]
-    sub, order = induced_subgraph(g, rest)
-    diams = component_diameters(sub)  # validates the modulator
-    best = max(diams, default=0)
+    labels = connected_components(g, k_list)
+    best = max(component_diameters(g, labels), default=0)  # validates K
 
     if not k_list:
         return best
 
-    rows = {x: _bfs_dist(g.adjacency, g.n, x) for x in k_list}
-    for x in k_list:
-        row = rows[x]
-        for u in range(g.n):
-            if u != x and row[u] > best:
-                best = row[u]
-
-    sub_labels = connected_components(sub)
-    labels = {old: sub_labels[i] for i, old in enumerate(order)}
-    records = build_types(g, k_list, rows, labels)
+    rows = bfs_rows(g, k_list)
+    best = max(best, int(rows.max()))
+    records = build_types(rows, labels)
 
     for i, r1 in enumerate(records):
         for r2 in records[i:]:
@@ -158,9 +139,7 @@ def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
                 # that component's diameter, already counted
                 continue
             y, z = pair
-            d = min(rows[x][y] + rows[x][z] for x in k_list)
-            if d > best:
-                best = d
+            best = max(best, int((rows[:, y] + rows[:, z]).min()))
     return best
 
 

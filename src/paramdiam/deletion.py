@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
-from .graph import UNREACHABLE, Graph, _bfs_dist, is_connected
+from .graph import UNREACHABLE, Graph, _bfs_dist, bfs_rows, is_connected
 from .params import clique_modulator_2approx
 
 _INF = 1 << 50  # internal unreachable sentinel; -1 on the wire
@@ -23,7 +23,7 @@ _INF = 1 << 50  # internal unreachable sentinel; -1 on the wire
 class ApspMatrix:
     """Symmetric all-pairs distance matrix over the listed vertex ids.
 
-    ``dist`` is an int64 array with UNREACHABLE (-1) for disconnected
+    ``dist`` is an integer array with UNREACHABLE (-1) for disconnected
     pairs; ``order[i]`` is the vertex id of row/column i.
     """
 
@@ -45,10 +45,7 @@ class ApspMatrix:
 
 def apsp_by_bfs(g: Graph) -> ApspMatrix:
     """Dense APSP by one BFS per vertex; the base-class table for tests/CLI."""
-    dist = np.empty((g.n, g.n), dtype=np.int64)
-    for v in range(g.n):
-        dist[v, :] = _bfs_dist(g.adjacency, g.n, v)
-    return ApspMatrix(tuple(range(g.n)), dist)
+    return ApspMatrix(tuple(range(g.n)), bfs_rows(g, range(g.n)))
 
 
 def combine_apsp(g: Graph, k_set: set[int], apsp_without_k: ApspMatrix) -> ApspMatrix:
@@ -69,15 +66,16 @@ def combine_apsp(g: Graph, k_set: set[int], apsp_without_k: ApspMatrix) -> ApspM
     full = np.full((g.n, g.n), _INF, dtype=np.int64)
     np.fill_diagonal(full, 0)
     idx = np.array(apsp_without_k.order, dtype=np.intp)
-    base = apsp_without_k.dist.astype(np.int64).copy()
+    base = apsp_without_k.dist.astype(np.int64)
     base[base == UNREACHABLE] = _INF
     full[np.ix_(idx, idx)] = base
-    for b in sorted(k_set):
-        row = np.array(_bfs_dist(g.adjacency, g.n, b), dtype=np.int64)
-        row[row == UNREACHABLE] = _INF
+    k_list = sorted(k_set)
+    k_rows = bfs_rows(g, k_list).astype(np.int64)
+    k_rows[k_rows == UNREACHABLE] = _INF
+    for b, row in zip(k_list, k_rows):
         np.minimum(full[b, :], row, out=full[b, :])
         np.minimum(full[:, b], row, out=full[:, b])
-    for b in sorted(k_set):
+    for b in k_list:
         row = full[b, :]
         np.minimum(full, row[:, None] + row[None, :], out=full)
     full[full >= _INF] = UNREACHABLE

@@ -34,6 +34,7 @@ from .graph import (
     Graph,
     TraceSink,
     _bfs_dist,
+    bfs_rows,
     induced_subgraph,
     is_connected,
 )
@@ -336,14 +337,12 @@ def case1_high_bfs(
     Row ``r`` of the returned int32 matrix holds the distances from
     ``dec.high[r]`` to every vertex of ``g``.
     """
+    rows = bfs_rows(g, dec.high)
+    if rows.size and rows.min() == UNREACHABLE:
+        raise DisconnectedGraphError("reduced graph is not connected")
     best = 0
-    rows = np.empty((len(dec.high), g.n), dtype=np.int32)
     pen_arr = np.asarray(pen, dtype=np.int32)
-    for r, v in enumerate(dec.high):
-        row = rows[r]
-        row[:] = _bfs_dist(g.adjacency, g.n, v)
-        if row.min() == UNREACHABLE:
-            raise DisconnectedGraphError("reduced graph is not connected")
+    for v, row in zip(dec.high, rows):
         score = row + pen_arr
         score[v] = -1  # pairs exclude u == v
         best = max(best, pen[v] + int(score.max()))

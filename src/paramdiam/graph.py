@@ -1,13 +1,15 @@
 """Immutable simple-graph substrate and BFS-based primitives.
 
-Graphs are undirected, unweighted, simple, with vertices 0..n-1.  All
-distances are plain Python integers; ``UNREACHABLE`` (-1) marks vertices in
-other components.  A :class:`Graph` never changes after construction, so it
-can be shared freely between threads.
+Graphs are undirected, unweighted, simple, with vertices 0..n-1.
+Distances are plain Python integers, or int32 in the tables of
+:func:`bfs_rows`; ``UNREACHABLE`` (-1) marks vertices in other components.
+A :class:`Graph` never changes after construction, so it can be shared
+freely between threads.
 
 Every traversal in the package runs on one kernel, :func:`_bfs`, which
 writes the distances it finds into a ``dist`` list owned by its caller;
-every public function here is pure.
+every public function here is pure.  A traversal of G - X needs no copy
+of it: the vertices of X are set in ``dist`` before the search, as walls.
 
 Two diameter solvers live here: :func:`naive_diameter`, one BFS per vertex
 and the reference oracle for every other solver, and :func:`solve_bounded`,
@@ -149,6 +151,20 @@ def bfs(g: Graph, source: int) -> tuple[int, ...]:
     return tuple(_bfs_dist(g.adjacency, g.n, source))
 
 
+def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
+    """int32 matrix of shape (len(sources), n); row i is ``bfs(g, sources[i])``.
+
+    UNREACHABLE entries are kept; each caller decides whether they are an
+    error.
+    """
+    rows = np.empty((len(sources), g.n), dtype=np.int32)
+    for r, source in enumerate(sources):
+        if not (0 <= source < g.n):
+            raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
+        rows[r] = _bfs_dist(g.adjacency, g.n, source)
+    return rows
+
+
 def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
@@ -225,13 +241,19 @@ def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
     return best
 
 
-def _bfs_forest(g: Graph) -> tuple[list[int], list[list[int]]]:
+def _bfs_forest(
+    g: Graph, removed: Iterable[int] = ()
+) -> tuple[list[int], list[list[int]]]:
     """One BFS per unreached root in ascending order, over one shared dist.
 
-    Returns the distance of each vertex from its tree's root and the
-    vertices of each tree in visiting order.
+    The ``removed`` vertices are walls: they join no tree and stop every
+    search, so the trees are the components of G minus them.  Returns the
+    distance of each vertex from its tree's root and the vertices of each
+    tree in visiting order.
     """
     dist = [UNREACHABLE] * g.n
+    for x in removed:
+        dist[x] = 0
     trees = [
         _bfs(g.adjacency, root, dist)
         for root in range(g.n)
@@ -240,14 +262,15 @@ def _bfs_forest(g: Graph) -> tuple[list[int], list[list[int]]]:
     return dist, trees
 
 
-def connected_components(g: Graph) -> list[int]:
-    """Component labels: labels[v] == labels[u] iff u, v connected.
+def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[int]:
+    """Component labels of G minus ``removed``, which are labelled -1.
 
+    labels[v] == labels[u] iff u, v are connected outside ``removed``.
     Labels are consecutive integers starting at 0, assigned in order of the
     smallest vertex of each component.
     """
-    labels = [0] * g.n
-    for label, tree in enumerate(_bfs_forest(g)[1]):
+    labels = [-1] * g.n
+    for label, tree in enumerate(_bfs_forest(g, removed)[1]):
         for v in tree:
             labels[v] = label
     return labels

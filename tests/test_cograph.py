@@ -11,7 +11,7 @@ from paramdiam import (
 )
 from paramdiam.cograph import build_types, component_diameters
 from paramdiam.constructions import gen_random_cograph_plus
-from paramdiam.graph import bfs, connected_components, induced_subgraph
+from paramdiam.graph import bfs_rows, connected_components
 from paramdiam.params import cograph_modulator
 from test_graph import graphs
 
@@ -20,23 +20,19 @@ class TestComponentDiameters:
     def test_mixed(self):
         # singleton, edge, path on 3
         g = from_edge_list([(1, 2), (3, 4), (4, 5)], 6)
-        assert component_diameters(g) == [0, 1, 2]
+        assert component_diameters(g, connected_components(g)) == [0, 1, 2]
 
     def test_rejects_long_component(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
         with pytest.raises(InvalidModulatorError):
-            component_diameters(g)
+            component_diameters(g, connected_components(g))
 
 
 class TestBuildTypes:
     def test_groups_by_capped_fingerprint(self):
         # star center 0 as modulator; leaves share one fingerprint
         g = from_edge_list([(0, 1), (0, 2), (0, 3)], 4)
-        rows = {0: list(bfs(g, 0))}
-        sub, order = induced_subgraph(g, [1, 2, 3])
-        sub_labels = connected_components(sub)
-        labels = {old: sub_labels[i] for i, old in enumerate(order)}
-        records = build_types(g, [0], rows, labels)
+        records = build_types(bfs_rows(g, [0]), connected_components(g, {0}))
         assert len(records) == 1
         assert records[0].count == 3
         assert records[0].type == (1,)
@@ -45,9 +41,8 @@ class TestBuildTypes:
 
     def test_distance_cap(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], 7)
-        rows = {0: list(bfs(g, 0))}
-        labels = {v: 0 for v in range(1, 7)}
-        records = build_types(g, [0], rows, labels)
+        labels = [-1] + [0] * 6
+        records = build_types(bfs_rows(g, [0]), labels)
         vecs = sorted(r.type for r in records)
         assert vecs == [(1,), (2,), (3,), (4,)]
         counts = {r.type: r.count for r in records}
@@ -63,6 +58,13 @@ class TestSolve:
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
         with pytest.raises(InvalidModulatorError):
             solve_cograph(g, set())
+
+    def test_two_ball_does_not_pass_through_modulator(self):
+        # P4 0-1-2-3 plus an apex 4 on all of it: G - {4} is the P4, of
+        # diameter 3, although every pair is within two steps through 4
+        g = from_edge_list([(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)], 5)
+        with pytest.raises(InvalidModulatorError):
+            solve_cograph(g, {4})
 
     def test_oversized_modulator_still_exact(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)

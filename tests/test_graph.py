@@ -3,6 +3,7 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from paramdiam.graph import (
     UNREACHABLE,
     _bfs,
     bfs,
+    bfs_rows,
     connected_components,
     eccentricity,
     girth,
@@ -266,6 +268,27 @@ def test_no_pruning_within_a_quarter_of_naive():
     assert best_of_three(solve_bounded, g) <= 1.25 * best_of_three(naive_diameter, g)
 
 
+class TestBfsRows:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_rows_equal_bfs(self, g, data):
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        rows = bfs_rows(g, sources)
+        assert rows.dtype == np.int32
+        assert rows.shape == (len(sources), g.n)
+        for row, s in zip(rows, sources):
+            assert tuple(row.tolist()) == bfs(g, s)  # UNREACHABLE kept
+
+    def test_no_sources(self):
+        g = from_edge_list([(0, 1)], 3)
+        assert bfs_rows(g, []).shape == (0, 3)
+
+    def test_rejects_bad_source(self):
+        g = from_edge_list([(0, 1)], 3)
+        with pytest.raises(VertexRangeError):
+            bfs_rows(g, [0, 3])
+
+
 class TestComponents:
     def test_labels_in_smallest_vertex_order(self):
         g = from_edge_list([(2, 3), (0, 4)], 5)
@@ -275,6 +298,22 @@ class TestComponents:
     @given(graphs())
     def test_matches_union_find(self, g):
         assert connected_components(g) == components_union_find(g)
+
+    def test_removed_vertices_are_walls(self):
+        # path 0-1-2-3-4 without 2: two components, -1 on the wall
+        g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4)], 5)
+        assert connected_components(g, {2}) == [0, 0, -1, 1, 1]
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_removed_matches_induced_copy(self, g, data):
+        removed = data.draw(st.sets(st.integers(0, g.n - 1)))
+        rest = [v for v in range(g.n) if v not in removed]
+        sub, order = induced_subgraph(g, rest)
+        want = [-1] * g.n
+        for i, lab in enumerate(connected_components(sub)):
+            want[order[i]] = lab
+        assert connected_components(g, removed) == want
 
 
 class TestBipartiteAndGirth:

@@ -18,7 +18,7 @@ from paramdiam.constructions import (
     gen_connected_er,
     gen_tree_plus_k,
 )
-from paramdiam.graph import bfs
+from paramdiam.graph import bfs, induced_subgraph
 from paramdiam.hindex import truncated_bfs_count
 from paramdiam.params import hub_set
 from oracles import floyd_warshall
@@ -46,6 +46,25 @@ class TestTruncatedBfs:
         ref = floyd_warshall(g)[v]
         want = Counter(types[u] for u in range(g.n) if ref[u] <= depth)
         assert truncated_bfs_count(g, v, depth, types) == want
+
+    def test_walls_are_not_crossed_or_counted(self):
+        # path 0-1-2-3 with wall 1: from 0 nothing else is reached
+        g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
+        types = ["a", "b", "a", "b"]
+        assert truncated_bfs_count(g, 0, 9, types, {1}) == Counter({"a": 1})
+        assert truncated_bfs_count(g, 3, 9, types, {1}) == Counter({"a": 1, "b": 1})
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_walls_match_induced_copy(self, g, data):
+        removed = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n - 1))
+        rest = [v for v in range(g.n) if v not in removed]
+        v = data.draw(st.sampled_from(rest))
+        depth = data.draw(st.integers(0, 4))
+        types = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+        sub, order = induced_subgraph(g, rest)
+        want = truncated_bfs_count(sub, order.index(v), depth, [types[u] for u in order])
+        assert truncated_bfs_count(g, v, depth, types, removed) == want
 
 
 class TestSolve:
