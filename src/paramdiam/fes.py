@@ -2,7 +2,14 @@
 
 Pipeline: peel degree-one vertices and pending cycles with two weight-
 carrying reduction rules, decompose what is left into high-degree vertices,
-maximal paths and pending cycles, then answer three cases:
+maximal paths and pending cycles, then bound the pen-weighted eccentricities
+of that core with :func:`graph.bounding_diameters`, BFS sources drawn from
+the high vertices first.  On tree-plus-k graphs the bounds meet after a few
+dozen BFS passes, where the paper's algorithm makes one per high vertex.
+
+If they have not met after one pass per high vertex, three cases answer
+the core instead, reusing the distance rows of the high sources already
+searched, so a call never makes more than two passes per high vertex:
 
 1. pairs touching a high vertex, from one BFS per high vertex, kept as the
    rows of an int32 matrix (high x core vertices);
@@ -34,7 +41,7 @@ from .graph import (
     Graph,
     TraceSink,
     _bfs_dist,
-    bfs_rows,
+    bounding_diameters,
     induced_subgraph,
     is_connected,
 )
@@ -330,14 +337,22 @@ def decompose(g: Graph) -> PathCycleDecomposition:
 
 
 def case1_high_bfs(
-    g: Graph, pen: Sequence[int], dec: PathCycleDecomposition
+    g: Graph,
+    pen: Sequence[int],
+    dec: PathCycleDecomposition,
+    known: dict[int, np.ndarray] | None = None,
 ) -> tuple[int, np.ndarray]:
     """BFS per high vertex; best pen-weighted distance touching one, plus rows.
 
     Row ``r`` of the returned int32 matrix holds the distances from
-    ``dec.high[r]`` to every vertex of ``g``.
+    ``dec.high[r]`` to every vertex of ``g``.  A high vertex with a row in
+    ``known`` is not searched again; its row is moved out of ``known``.
     """
-    rows = bfs_rows(g, dec.high)
+    known = {} if known is None else known
+    rows = np.empty((len(dec.high), g.n), dtype=np.int32)
+    for r, v in enumerate(dec.high):
+        row = known.pop(v, None)
+        rows[r] = _bfs_dist(g.adjacency, g.n, v) if row is None else row
     if rows.size and rows.min() == UNREACHABLE:
         raise DisconnectedGraphError("reduced graph is not connected")
     best = 0
@@ -451,7 +466,13 @@ def case3_all_paths(
 
 
 def solve_fes(g: Graph, trace: TraceSink = None) -> int:
-    """Exact diameter via the reduction rules and the three-case analysis."""
+    """Exact diameter via the reduction rules, core bounds and the three cases.
+
+    ``trace`` gets the reduction rule events and then one ``core-bounds``
+    event: the core's size, its high vertices, the bounds' BFS passes, and
+    ``fallback``, the BFS passes case 1 then adds, or None when the bounds
+    settled the core.
+    """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
     if not is_connected(g):
@@ -465,7 +486,23 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     red, _, pen = inst.compacted()
     dec = decompose(red)
     assert not dec.cycles, "pending cycles must not survive reduction"
-    s1, rows = case1_high_bfs(red, pen, dec)
+    high = np.zeros(red.n, dtype=bool)
+    high[dec.high] = True
+    pen_arr = np.asarray(pen, dtype=np.int64)
+    lower, upper, passes, known = bounding_diameters(red, pen_arr, high, len(dec.high))
+    best = int((pen_arr + lower).max())
+    settled = best == int((pen_arr + upper).max())
+    if trace is not None:
+        trace({
+            "phase": "core-bounds",
+            "core_n": red.n,
+            "high": len(dec.high),
+            "passes": passes,
+            "fallback": None if settled else len(dec.high) - len(known),
+        })
+    if settled:
+        return max(inst.s, best)
+    s1, rows = case1_high_bfs(red, pen, dec, known)
     best = max(inst.s, s1)
     row_of = {v: r for r, v in enumerate(dec.high)}
     for path in dec.paths:

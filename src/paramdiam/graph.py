@@ -14,7 +14,8 @@ of it: the vertices of X are set in ``dist`` before the search, as walls.
 Two diameter solvers live here: :func:`naive_diameter`, one BFS per vertex
 and the reference oracle for every other solver, and :func:`solve_bounded`,
 which needs no structural parameter and prunes BFS sources with
-eccentricity bounds.
+eccentricity bounds.  Its loop, :func:`bounding_diameters`, takes vertex
+weights, so it also bounds the weighted core that ``solve_fes`` reduces to.
 """
 
 from __future__ import annotations
@@ -195,47 +196,85 @@ def naive_diameter(g: Graph) -> int:
     return best
 
 
-def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
-    """Exact diameter by BoundingDiameters (Takes & Kosters, CIKM 2011).
+def bounding_diameters(
+    g: Graph,
+    pen: np.ndarray,
+    pool: np.ndarray | None = None,
+    budget: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, dict[int, np.ndarray]]:
+    """BoundingDiameters (Takes & Kosters, CIKM 2011) for a pen-weighted diameter.
 
-    A BFS from v, of eccentricity e, bounds every vertex w:
-    max(d(v, w), e - d(v, w)) <= ecc(w) <= e + d(v, w).  The largest e
-    found is a lower bound on the diameter.  A candidate leaves once its
-    upper bound is at most that lower bound, or its two bounds are equal,
-    and the answer is that lower bound once no candidate is left, so it is
-    exact.  Sources alternate between the candidate of largest upper bound
-    and the one of smallest lower bound, the higher degree winning ties.
-    A vertex-transitive graph prunes nothing and takes n passes.
+    D = max over v != w of pen[v] + d(v, w) + pen[w] on a connected g, so D
+    is the largest pen[v] + e(v), where e(v) = max over w != v of
+    d(v, w) + pen[w] (0 on a lone vertex).  A BFS from u finds e(u) exactly
+    and bounds every other vertex v:
+    max(d(u, v) + pen[u], e(u) - d(u, v)) <= e(v) <= d(u, v) + max(e(u), pen[u]),
+    except that when v is u's farthest weighted vertex the lower bound
+    subtracts from the second-farthest instead, as v cannot count itself.
+
+    The largest pen[v] + lower bound is a lower bound on D.  A candidate
+    leaves once pen + its upper bound is at most that, and D is found once
+    no candidate is left.  Sources alternate between the candidate of
+    largest pen + upper bound and the one of smallest lower bound, the
+    higher degree winning ties, and come from the candidates in the boolean
+    mask ``pool`` while any is left.  The int32 distance row of each pool
+    source searched is kept.  With no ``pool`` and pen = 0 this is plain
+    BoundingDiameters, and a vertex-transitive graph takes n passes.
+
+    Stops after ``budget`` BFS passes at the latest.  Returns (lower,
+    upper, passes, rows): the int64 arrays of bounds on every e(v), the
+    BFS passes made and the kept rows by source.  The largest pen + lower
+    and pen + upper bound D, and are equal unless the budget ran out.
+    """
+    n = g.n
+    adjacency = g.adjacency
+    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
+    lower = np.zeros(n, dtype=np.int64)
+    upper = np.full(n, n + int(pen.max()), dtype=np.int64)  # above every e(v)
+    cand = np.arange(n)
+    rows: dict[int, np.ndarray] = {}
+    best = passes = 0
+    while cand.size and passes != budget:
+        pick = cand
+        if pool is not None and pool[cand].any():
+            pick = cand[pool[cand]]
+        if passes % 2:
+            source = int(pick[np.argmin(lower[pick] * n - degree[pick])])
+        else:
+            source = int(pick[np.argmax((pen[pick] + upper[pick]) * n + degree[pick])])
+        dist = [UNREACHABLE] * n
+        if len(_bfs(adjacency, source, dist)) < n:
+            raise DisconnectedGraphError("graph is not connected")
+        passes += 1
+        d = np.array(dist, dtype=np.int32)
+        if pool is not None and pool[source]:
+            rows[source] = d
+        reach = d + pen
+        reach[source] = 0  # below every other entry, and e = 0 when n = 1
+        far = int(reach.argmax())
+        ecc = int(reach[far])
+        reach[far] = 0
+        low = np.maximum(d + pen[source], ecc - d)
+        low[far] = max(d[far] + pen[source], reach.max() - d[far])
+        up = d + max(ecc, int(pen[source]))
+        low[source] = up[source] = ecc
+        np.maximum(lower, low, out=lower)
+        np.minimum(upper, up, out=upper)
+        best = int((pen + lower).max())
+        cand = cand[pen[cand] + upper[cand] > best]
+    return lower, upper, passes, rows
+
+
+def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
+    """Exact diameter by :func:`bounding_diameters` with every pen 0.
 
     ``trace`` gets one final event: the BFS passes made and the lower and
     upper bounds on the diameter, which are then equal.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    adjacency = g.adjacency
-    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    lower = np.zeros(n, dtype=np.int64)
-    upper = np.full(n, n, dtype=np.int64)  # above every eccentricity
-    cand = np.arange(n)
-    best = passes = 0
-    while cand.size:
-        if passes % 2:
-            source = cand[np.argmin(lower[cand] * n - degree[cand])]
-        else:
-            source = cand[np.argmax(upper[cand] * n + degree[cand])]
-        dist = [UNREACHABLE] * n
-        order = _bfs(adjacency, int(source), dist)
-        if len(order) < n:
-            raise DisconnectedGraphError("graph is not connected")
-        passes += 1
-        ecc = dist[order[-1]]
-        best = max(best, ecc)
-        d = np.array(dist, dtype=np.int64)
-        np.maximum(lower, np.maximum(d, ecc - d), out=lower)
-        np.minimum(upper, d + ecc, out=upper)
-        low, up = lower[cand], upper[cand]
-        cand = cand[(up > best) & (low < up)]
+    lower, upper, passes, _ = bounding_diameters(g, np.zeros(g.n, dtype=np.int64))
+    best = int(lower.max())
     if trace is not None:
         trace({"passes": passes, "lower": best, "upper": int(upper.max())})
     return best

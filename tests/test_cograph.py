@@ -13,7 +13,7 @@ from paramdiam.cograph import build_types, component_diameters
 from paramdiam.constructions import gen_random_cograph_plus
 from paramdiam.graph import bfs_rows, connected_components
 from paramdiam.params import cograph_modulator
-from test_graph import graphs
+from test_graph import best_of_three, graphs
 
 
 class TestComponentDiameters:
@@ -96,3 +96,11 @@ class TestSolve:
         for seed in range(40):
             g = gen_random_cograph_plus(5 + seed % 20, seed % 4, seed)
             assert solve_cograph(g) == naive_diameter(g)
+
+
+def test_no_slower_than_naive_on_cograph_plus():
+    g = gen_random_cograph_plus(200, 3, 0)
+    planted = {200, 201, 202}  # the attached vertices; the rest is a cograph
+    assert solve_cograph(g, planted) == naive_diameter(g)
+    solve_time = best_of_three(lambda g: solve_cograph(g, planted), g)
+    assert solve_time <= best_of_three(naive_diameter, g)

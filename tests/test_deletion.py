@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from paramdiam.deletion import ApspMatrix, apsp_by_bfs, combine_apsp
 from paramdiam.graph import UNREACHABLE, induced_subgraph
 from paramdiam.params import clique_modulator_2approx
 from oracles import floyd_warshall
-from test_graph import graphs
+from test_graph import best_of_three, graphs
 
 
 def base_matrix(g, k_set):
@@ -90,3 +92,21 @@ class TestCliqueSolver:
         base = clique_modulator_2approx(g)
         extra = data.draw(st.sets(st.integers(0, g.n - 1), max_size=3))
         assert solve_clique_modulator(g, base | extra) == naive_diameter(g)
+
+
+def near_clique(n, k, seed):
+    """A clique on n - k vertices plus k planted vertices, each joined to one
+    to three earlier vertices: the planted ones are a clique modulator."""
+    rng = random.Random(seed)
+    edges = [(i, j) for i in range(n - k) for j in range(i)]
+    for v in range(n - k, n):
+        edges += [(w, v) for w in rng.sample(range(v), rng.randint(1, 3))]
+    return from_edge_list(edges, n)
+
+
+def test_no_slower_than_naive_on_near_clique():
+    g = near_clique(300, 5, 0)
+    planted = set(range(295, 300))
+    assert solve_clique_modulator(g, planted) == naive_diameter(g)
+    solve_time = best_of_three(lambda g: solve_clique_modulator(g, planted), g)
+    assert solve_time <= best_of_three(naive_diameter, g)

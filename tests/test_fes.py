@@ -1,10 +1,17 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramdiam import ContractViolationError, from_edge_list, naive_diameter, solve_fes
+from paramdiam import (
+    ContractViolationError,
+    from_edge_list,
+    naive_diameter,
+    solve_bounded,
+    solve_fes,
+)
 from paramdiam.constructions import gen_connected_er, gen_tree_plus_k
 from paramdiam.fes import (
     WeightedDiameterInstance,
@@ -20,14 +27,15 @@ from paramdiam.fes import (
     reduce_exhaustively,
     weighted_diameter_oracle,
 )
-from paramdiam.graph import induced_subgraph
+import paramdiam.graph
+from paramdiam.graph import bfs, bounding_diameters, induced_subgraph
 from oracles import (
     case2_quadratic,
     case3_quadratic,
     max_weighted_pair_cyclic_quadratic,
     weighted_diameter_floyd,
 )
-from test_graph import graphs
+from test_graph import circulant, graphs
 
 
 def instance(edges, n, pen=None, s=0):
@@ -413,3 +421,182 @@ class TestPathSweep:
         assert 2 * max(pen) > 12
         assert case1_high_bfs(red, pen, dec)[0] == 12
         assert solve_fes(g) == naive_diameter(g) == 12
+
+
+def weighted_eccentricities(g, pen):
+    """e(v) = max over w != v of d(v, w) + pen[w], by one BFS per vertex."""
+    return [
+        max(d + pen[w] for w, d in enumerate(bfs(g, v)) if w != v)
+        for v in range(g.n)
+    ]
+
+
+class TestBoundingDiameters:
+    """The loop behind solve_bounded, with the weights and pool of the fes core."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=10, connected_only=True), st.data())
+    def test_matches_oracle(self, g, data):
+        if g.n < 2:
+            return
+        pen = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
+        s = data.draw(st.integers(0, 12))
+        pen_arr = np.array(pen, dtype=np.int64)
+        lower, upper, passes, rows = bounding_diameters(g, pen_arr)
+        best = int((pen_arr + lower).max())
+        assert best == int((pen_arr + upper).max())
+        assert max(s, best) == weighted_diameter_oracle(WeightedDiameterInstance(g, pen, s))
+        assert 1 <= passes <= g.n and rows == {}
+
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=10, connected_only=True), st.data())
+    def test_pool_and_budget_keep_every_bound(self, g, data):
+        if g.n < 2:
+            return
+        pen = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
+        pool = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)))
+        budget = data.draw(st.integers(1, g.n))
+        pen_arr = np.array(pen, dtype=np.int64)
+        lower, upper, passes, rows = bounding_diameters(g, pen_arr, pool, budget)
+        ecc = weighted_eccentricities(g, pen)
+        assert (lower <= ecc).all() and (np.array(ecc) <= upper).all()
+        diameter = max(p + e for p, e in zip(pen, ecc))
+        assert int((pen_arr + lower).max()) <= diameter <= int((pen_arr + upper).max())
+        assert passes <= budget
+        assert all(pool[v] for v in rows)
+        for v, row in rows.items():
+            assert row.dtype == np.int32 and tuple(row) == bfs(g, v)
+        if pool.all():
+            assert len(rows) == passes
+
+    def test_seeded_bounds(self):
+        # every bound and the answer, on a fixed corpus, free of hypothesis's
+        # search: weighted cores with and without a pool and a budget
+        for seed in range(300):
+            rng = random.Random(seed)
+            g = gen_connected_er(rng.randrange(2, 12), rng.uniform(0.2, 0.7), seed)
+            pen = [rng.randrange(0, 9) for _ in range(g.n)]
+            pen_arr = np.array(pen, dtype=np.int64)
+            ecc = weighted_eccentricities(g, pen)
+            diameter = max(p + e for p, e in zip(pen, ecc))
+            pool = np.array([rng.random() < 0.5 for _ in range(g.n)])
+            for args in ((), (pool, rng.randrange(1, g.n + 1))):
+                lower, upper, _, _ = bounding_diameters(g, pen_arr, *args)
+                assert (lower <= ecc).all() and (np.array(ecc) <= upper).all()
+                assert int((pen_arr + lower).max()) <= diameter
+                assert diameter <= int((pen_arr + upper).max())
+                if not args:
+                    assert int((pen_arr + lower).max()) == diameter
+
+
+def check_core_cost(g, monkeypatch):
+    """solve_fes on g: (diameter, its core-bounds event or None), with the
+    cost gate: the event counts every BFS pass over the core, counted at
+    the kernel after the connectivity check, and there are at most two per
+    high vertex."""
+    kernel = paramdiam.graph._bfs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(paramdiam.graph, "_bfs", counted)
+    events = []
+    got = solve_fes(g, events.append)
+    monkeypatch.undo()
+    bounds = [e for e in events if e.get("phase") == "core-bounds"]
+    passes = len(calls) - 1
+    if not bounds:
+        assert passes == 0
+        return got, None
+    (event,) = bounds
+    assert passes == event["passes"] + (event["fallback"] or 0)
+    assert passes <= 2 * event["high"]
+    return got, event
+
+
+def circular_ladder(rungs, subdivisions=1):
+    """Prism over a rungs-cycle, each edge a path of ``subdivisions`` edges:
+    every branch vertex has the same eccentricity, so no bound settles one
+    without a BFS of its own."""
+    edges = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        edges += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1), (2 * i, 2 * i + 1)]
+    n = 2 * rungs
+    paths = []
+    for u, v in edges:
+        chain = [u, *range(n, n + subdivisions - 1), v]
+        n += subdivisions - 1
+        paths += zip(chain, chain[1:])
+    return from_edge_list(paths, n)
+
+
+# Cores on which the bounds settle little before the budget runs out: the
+# branch vertices of a ladder or a circulant all look alike, and a dense ER
+# graph has diameter 2, below every upper bound d(u, v) + e(u) with v != u.
+HARD_CORES = {
+    **{f"ladder-{r}": circular_ladder(r) for r in (3, 4, 9)},
+    **{f"ladder-{r}-sub{k}": circular_ladder(r, k) for r in (3, 4, 9) for k in (3, 10)},
+    "circulant-40-3": circulant(40, 3),
+    "circulant-61-2": circulant(61, 2),
+    "er-50-0.5": gen_connected_er(50, 0.5, 0),
+    "er-40-0.3": gen_connected_er(40, 0.3, 1),
+}
+
+
+class TestCoreBounds:
+    def test_trace_reports_core_bounds(self):
+        g = gen_tree_plus_k(400, 30, 3)
+        red, _, dec = reduced_core(g)
+        events = []
+        solve_fes(g, events.append)
+        (event,) = [e for e in events if "phase" in e]
+        assert event == {
+            "phase": "core-bounds",
+            "core_n": red.n,
+            "high": len(dec.high),
+            "passes": event["passes"],
+            "fallback": None,
+        }
+        assert 1 <= event["passes"] <= len(dec.high)
+
+    @pytest.mark.parametrize("name", HARD_CORES)
+    def test_hard_cores(self, name, monkeypatch):
+        g = HARD_CORES[name]
+        got, event = check_core_cost(g, monkeypatch)
+        assert got == naive_diameter(g)
+        assert event["core_n"] == g.n
+
+    @pytest.mark.parametrize("rungs", [3, 4, 9])
+    @pytest.mark.parametrize("subdivisions", [3, 10])
+    def test_subdivided_ladder_costs_no_more_than_case1(
+        self, rungs, subdivisions, monkeypatch
+    ):
+        _, event = check_core_cost(circular_ladder(rungs, subdivisions), monkeypatch)
+        assert event["high"] == 2 * rungs
+        assert event["fallback"] is not None
+        assert event["passes"] + event["fallback"] <= event["high"]
+
+    def test_pending_cycles_and_seeded_families(self, monkeypatch):
+        settled = fallen_back = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            tree = gen_tree_plus_k(rng.randrange(20, 150), rng.randrange(1, 15), seed)
+            g = with_pending_cycles(tree, rng) if seed % 2 else tree
+            got, event = check_core_cost(g, monkeypatch)
+            assert got == naive_diameter(g)
+            if event is not None:
+                settled += event["fallback"] is None
+                fallen_back += event["fallback"] is not None
+        assert settled >= 40 and fallen_back >= 2
+
+    @pytest.mark.parametrize("k", [300, 400])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_sparse_cyclic_cores_settle_in_a_quarter_of_case1(self, k, seed, monkeypatch):
+        g = gen_tree_plus_k(20000, k, seed)
+        got, event = check_core_cost(g, monkeypatch)
+        assert got == solve_bounded(g)
+        assert event["fallback"] is None
+        assert 4 * event["passes"] <= event["high"]

@@ -219,6 +219,16 @@ class TestSolveBounded:
         assert events[0]["lower"] == events[0]["upper"] == got
         assert 1 <= events[0]["passes"] <= g.n
 
+    def test_seeded_corpus_passes_unchanged(self):
+        # recorded before the loop took weights, a source pool and a budget;
+        # with pen = 0 and none of them it must pick the same sources
+        passes = []
+        for g in bounded_corpus():
+            events = []
+            solve_bounded(g, events.append)
+            passes.append(events[0]["passes"])
+        assert passes == [2, 4, 7, 6, 4, 3, 14, 3, 3, 6, 19, 8, 4, 4, 3, 6, 3]
+
     @settings(max_examples=150, deadline=None)
     @given(graphs(connected_only=True))
     def test_matches_floyd_warshall(self, g):
