@@ -25,6 +25,11 @@ recording the deepest peeled vertex reachable through each survivor, and a
 scalar ``s`` holding the best answer realized entirely inside peeled
 structures.  Both rules preserve max(s, weighted diameter of the graph
 induced by the alive vertices).
+
+Connectivity is decided on the core, not on the input: neither rule
+changes the number of components, and each leaves every component at least
+one alive vertex, so one alive vertex means a connected input, and
+otherwise the input is connected exactly when the compacted core is.
 """
 
 from __future__ import annotations
@@ -226,16 +231,44 @@ def apply_rr2(
 
 
 def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
-    queue = deque(
-        v for v in range(inst.n) if inst.alive[v] and inst.degree(v) == 1
-    )
-    while queue:
-        u = queue.popleft()
-        if not inst.alive[u] or inst.degree(u) != 1:
+    """:func:`apply_rr1` until no live degree-one vertex is left, as one loop.
+
+    The leaves are taken first in ascending order, then each anchor as it
+    drops to degree one, the same order and trace events as repeated
+    :func:`apply_rr1` calls, without a neighbour list per removal.
+    """
+    adjacency = inst.graph.adjacency
+    alive, deg, pen = inst.alive, inst.deg, inst.pen
+    s = inst.s
+    leaves = [u for u in range(inst.n) if deg[u] == 1]
+    removed = 0
+    for u in leaves:  # grows while it is walked: a FIFO queue
+        if deg[u] != 1:
             continue
-        v = apply_rr1(inst, u, trace)
-        if inst.alive[v] and inst.degree(v) == 1:
-            queue.append(v)
+        for v in adjacency[u]:
+            if alive[v]:
+                break
+        pu, pv = pen[u], pen[v]
+        if pu + pv + 1 > s:
+            s = pu + pv + 1
+        if pu + 1 > pv:
+            pen[v] = pu + 1
+        alive[u] = False
+        deg[u] = 0
+        deg[v] -= 1
+        removed += 1
+        if trace is not None:
+            trace({
+                "rule": "degree-one",
+                "removed": u,
+                "anchor": v,
+                "s": s,
+                "pen_anchor": pen[v],
+            })
+        if deg[v] == 1:
+            leaves.append(v)
+    inst.s = s
+    inst.alive_count -= removed
 
 
 def _chains(degree, neighbors, vertices):
@@ -471,19 +504,18 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     ``trace`` gets the reduction rule events and then one ``core-bounds``
     event: the core's size, its high vertices, the bounds' BFS passes, and
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
-    settled the core.
+    settled the core.  Raises :class:`DisconnectedGraphError` when the
+    reduced core, and so ``g``, is disconnected.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is not connected")
-    if g.n == 1:
-        return 0
     inst = WeightedDiameterInstance(g)
     reduce_exhaustively(inst, trace)
     if inst.alive_count <= 1:
         return inst.s
     red, _, pen = inst.compacted()
+    if not is_connected(red):
+        raise DisconnectedGraphError("graph is not connected")
     dec = decompose(red)
     assert not dec.cycles, "pending cycles must not survive reduction"
     high = np.zeros(red.n, dtype=bool)

@@ -20,6 +20,8 @@ weights, so it also bounds the weighted core that ``solve_fes`` reduces to.
 
 from __future__ import annotations
 
+import io
+import warnings
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -28,11 +30,13 @@ from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
+    GraphInputError,
     SelfLoopError,
     VertexRangeError,
 )
 
 UNREACHABLE = -1
+MAX_VERTICES = 2**31 - 1  # int32 distance tables; lo * n + hi fits in int64
 
 TraceSink = Callable[[dict], None] | None
 
@@ -85,25 +89,56 @@ class Graph:
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a validated Graph from an edge list over vertices 0..n-1.
 
-    Rejects self-loops, duplicate (including symmetric) edges and
-    out-of-range endpoints with distinct error types.
+    Rejects a vertex count outside 0..2**31 - 1, out-of-range endpoints,
+    self-loops and duplicate (including symmetric) edges with distinct error
+    types; the error names the first faulty edge in input order.
+    """
+    try:
+        pairs = np.array(list(edges), dtype=np.int64)
+    except OverflowError as exc:
+        raise VertexRangeError(f"vertex id outside 0..{n - 1}") from exc
+    if pairs.size == 0:
+        pairs = pairs.reshape(0, 2)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise GraphInputError("edges must be (u, v) pairs")
+    return _from_pairs(pairs, n)
+
+
+def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
+    """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``.
+
+    Checks every edge at once and raises for the first faulty one in input
+    order: an endpoint out of range, then a self-loop, then an edge whose
+    key lo * n + hi an earlier edge already has, found by a stable sort of
+    the keys.  The adjacency comes from one sort of both edge directions.
     """
     if n < 0:
         raise VertexRangeError(f"negative vertex count {n}")
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        seen.add(key)
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    return Graph(n, tuple(tuple(sorted(a)) for a in adjacency), len(seen))
+    if n > MAX_VERTICES:
+        raise VertexRangeError(f"vertex count {n} above {MAX_VERTICES}")
+    u, v = pairs[:, 0], pairs[:, 1]
+    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+    key = np.where(
+        out, -1 - np.arange(len(pairs)), np.minimum(u, v) * n + np.maximum(u, v)
+    )
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    bad = out | (u == v)
+    bad[order[1:][ordered[1:] == ordered[:-1]]] = True
+    if bad.any():
+        i = int(bad.argmax())
+        a, b = int(u[i]), int(v[i])
+        if out[i]:
+            raise VertexRangeError(f"edge ({a}, {b}) outside 0..{n - 1}")
+        if a == b:
+            raise SelfLoopError(f"self-loop at vertex {a}")
+        raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
+    src = np.concatenate((u, v))
+    dst = np.concatenate((v, u))
+    nbrs = dst[np.argsort(src * n + dst)].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    adjacency = tuple([tuple(nbrs[i:j]) for i, j in zip([0] + ends, ends)])
+    return Graph(n, adjacency, len(pairs))
 
 
 def _bfs(
@@ -371,34 +406,33 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 # Edge-list text interchange: '#' comments, "n m" header, then m "u v" lines.
 
 def parse_edge_list(text: str) -> Graph:
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise EdgeListParseError("empty input")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise EdgeListParseError(f"expected 'n m' header, got {lines[0]!r}")
+    r"""Parse edge-list text into a validated Graph.
+
+    The grammar is whitespace-separated rows of decimal integers with an
+    optional sign: a first row ``n m``, then exactly m ``u v`` rows.  A
+    ``#`` starts a comment to the end of its line, blank lines are skipped,
+    and ``\n``, ``\r\n`` and ``\r`` all end a line.  Anything else, such as
+    ``1.0``, ``0x1`` or ``1_000``, raises :class:`EdgeListParseError`;
+    an invalid graph raises what :func:`from_edge_list` raises.
+    """
     try:
-        n, m = int(header[0]), int(header[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(
+                io.StringIO(text, newline=None), dtype=np.int64, comments="#", ndmin=2
+            )
     except ValueError as exc:
-        raise EdgeListParseError(f"non-integer header {lines[0]!r}") from exc
-    if len(lines) - 1 != m:
+        raise EdgeListParseError(f"malformed edge list: {exc}") from None
+    if rows.size == 0:
+        raise EdgeListParseError("empty input")
+    if rows.shape[1] != 2:
+        raise EdgeListParseError(f"expected 'n m' header, got {rows[0].tolist()}")
+    n, m = rows[0].tolist()
+    if len(rows) - 1 != m:
         raise EdgeListParseError(
-            f"header declares {m} edges but {len(lines) - 1} edge lines found"
+            f"header declares {m} edges but {len(rows) - 1} edge lines found"
         )
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListParseError(f"expected 'u v' edge line, got {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise EdgeListParseError(f"non-integer edge line {ln!r}") from exc
-    return from_edge_list(edges, n)
+    return _from_pairs(rows[1:], n)
 
 
 def format_edge_list(g: Graph, comment: str | None = None) -> str:

@@ -3,16 +3,25 @@
 Everything here is deliberately naive and avoids the code paths it checks:
 distances come from Floyd-Warshall rather than BFS, components from
 union-find rather than traversal, and the structural searches enumerate
-subsets outright.  The modulator references at the end are the
+subsets outright.  The modulator references are the
 peel-and-restart and quadratic versions that ``paramdiam.params`` replaced,
-kept to check that the single-pass versions return the same sets.
+kept to check that the single-pass versions return the same sets, and the
+edge-list references at the end read text line by line and check edges one
+at a time, where ``paramdiam.graph`` works on whole arrays.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import combinations
 
-from paramdiam import Graph
+from paramdiam import (
+    DuplicateEdgeError,
+    EdgeListParseError,
+    Graph,
+    SelfLoopError,
+    VertexRangeError,
+)
 from paramdiam.graph import induced_subgraph
 
 INF = float("inf")
@@ -237,3 +246,56 @@ def clique_modulator_quadratic(g: Graph) -> set[int]:
                     deg[u] -= 1
         i += 1
     return modulator
+
+
+def edge_list_reference(edges, n: int):
+    """(adjacency, m) of the graph on 0..n-1 with ``edges``, or the error of
+    the first faulty edge: out of range, then self-loop, then duplicate."""
+    if n < 0:
+        raise VertexRangeError(f"negative vertex count {n}")
+    if n > 2**31 - 1:
+        raise VertexRangeError(f"vertex count {n} above {2**31 - 1}")
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if not (0 <= u < n) or not (0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add(key)
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    return tuple(tuple(sorted(a)) for a in adjacency), len(seen)
+
+
+_INT64_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_edge_list_reference(text: str):
+    """(adjacency, m) of an edge-list text, by the grammar in the README:
+    lines end at \\n, \\r\\n or \\r, ``#`` comments to the end of its line,
+    rows of equally many signed decimal int64 tokens, ``n m`` then m edges."""
+    rows: list[list[int]] = []
+    for line in re.split(r"\r\n|\r|\n", text):
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if not all(_INT64_TOKEN.fullmatch(t) for t in tokens):
+            raise EdgeListParseError(f"non-integer token in {line!r}")
+        row = [int(t) for t in tokens]
+        if any(not -(2**63) <= x < 2**63 for x in row):
+            raise EdgeListParseError(f"token outside int64 in {line!r}")
+        if rows and len(row) != len(rows[0]):
+            raise EdgeListParseError(f"column count changed at {line!r}")
+        rows.append(row)
+    if not rows:
+        raise EdgeListParseError("empty input")
+    if len(rows[0]) != 2:
+        raise EdgeListParseError("expected 'n m' header")
+    n, m = rows[0]
+    if len(rows) - 1 != m:
+        raise EdgeListParseError("edge count differs from the header")
+    return edge_list_reference(rows[1:], n)

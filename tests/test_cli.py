@@ -102,11 +102,25 @@ class TestSolve:
         assert code == 2
         assert "error" in err
 
+    def test_exit_code_non_integer_edge(self, capsys, tmp_path):
+        bad = tmp_path / "bad.el"
+        bad.write_text("3 1\n0 x\n")
+        code, out, err = run(capsys, "solve", str(bad), "--algo", "fes")
+        assert code == 2
+        assert out == "" and "error" in err
+
     def test_exit_code_disconnected(self, capsys, tmp_path):
         p = tmp_path / "disc.el"
         save_edge_list(from_edge_list([(0, 1)], 3), str(p))
         code, _, _ = run(capsys, "solve", str(p), "--algo", "naive")
         assert code == 3
+
+    def test_exit_code_disconnected_fes(self, capsys, tmp_path):
+        p = tmp_path / "two-paths.el"
+        save_edge_list(from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5)], 6), str(p))
+        code, out, err = run(capsys, "solve", str(p), "--algo", "fes")
+        assert code == 3
+        assert out == "" and "error" in err
 
     def test_exit_code_bad_modulator(self, capsys, tmp_path):
         p = str(tmp_path / "long.el")

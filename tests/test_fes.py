@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from paramdiam import (
     ContractViolationError,
+    DisconnectedGraphError,
     from_edge_list,
     naive_diameter,
     solve_bounded,
@@ -15,6 +17,7 @@ from paramdiam import (
 from paramdiam.constructions import gen_connected_er, gen_tree_plus_k
 from paramdiam.fes import (
     WeightedDiameterInstance,
+    _rr1_exhaust,
     apply_rr1,
     apply_rr2,
     case1_high_bfs,
@@ -28,7 +31,13 @@ from paramdiam.fes import (
     weighted_diameter_oracle,
 )
 import paramdiam.graph
-from paramdiam.graph import bfs, bounding_diameters, induced_subgraph
+from paramdiam.graph import (
+    bfs,
+    bounding_diameters,
+    connected_components,
+    induced_subgraph,
+    is_connected,
+)
 from oracles import (
     case2_quadratic,
     case3_quadratic,
@@ -127,6 +136,82 @@ class TestDegreeOneRule:
         before = weighted_diameter_oracle(inst)
         apply_rr1(inst, data.draw(st.sampled_from(leaves)))
         assert weighted_diameter_oracle(inst) == before
+
+
+def peel_by_rr1(g, pen, s, pick):
+    """apply_rr1 on the live leaf ``pick(leaves)`` until none is left."""
+    inst = WeightedDiameterInstance(g, pen, s)
+    while True:
+        leaves = [v for v in range(g.n) if inst.alive[v] and inst.degree(v) == 1]
+        if not leaves:
+            return inst
+        apply_rr1(inst, pick(leaves))
+
+
+def peel_in_queue_order(g, pen, s):
+    """apply_rr1 on the leaves in ascending order, then on each anchor as it
+    drops to degree one; returns the instance and the trace events."""
+    inst = WeightedDiameterInstance(g, pen, s)
+    events = []
+    queue = deque(v for v in range(g.n) if inst.degree(v) == 1)
+    while queue:
+        u = queue.popleft()
+        if inst.alive[u] and inst.degree(u) == 1:
+            v = apply_rr1(inst, u, events.append)
+            if inst.degree(v) == 1:
+                queue.append(v)
+    return inst, events
+
+
+def state(inst):
+    return inst.alive, inst.deg, inst.pen, inst.s, inst.alive_count
+
+
+class TestLeafPeel:
+    """The flat loop of _rr1_exhaust against apply_rr1, one checked step at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=10), st.data())
+    def test_same_state_and_events_as_rr1_in_queue_order(self, g, data):
+        pen = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+        s = data.draw(st.integers(0, 10))
+        inst = WeightedDiameterInstance(g, pen, s)
+        events = []
+        _rr1_exhaust(inst, events.append)
+        want, want_events = peel_in_queue_order(g, pen, s)
+        assert state(inst) == state(want)
+        assert events == want_events
+        assert len(events) == g.n - inst.alive_count
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(max_n=10), st.data())
+    def test_same_state_as_random_rr1_steps(self, g, data):
+        """Any order leaves the same s, the same survivors with the same pen
+        and degree in each component with a cycle, and one survivor of
+        degree 0 in each tree component."""
+        pen = data.draw(st.lists(st.integers(0, 6), min_size=g.n, max_size=g.n))
+        s = data.draw(st.integers(0, 10))
+        inst = WeightedDiameterInstance(g, pen, s)
+        events = []
+        _rr1_exhaust(inst, events.append)
+        want = peel_by_rr1(g, pen, s, lambda leaves: data.draw(st.sampled_from(leaves)))
+        assert (inst.s, inst.alive_count) == (want.s, want.alive_count)
+        assert len(events) == g.n - inst.alive_count
+        labels = connected_components(g)
+        sizes = [labels.count(c) for c in range(max(labels) + 1)]
+        edges = [0] * len(sizes)
+        for u, _ in g.edges():
+            edges[labels[u]] += 1
+        for c, size in enumerate(sizes):
+            members = [v for v in range(g.n) if labels[v] == c]
+            if edges[c] >= size:
+                for v in members:
+                    got = (inst.alive[v], inst.deg[v], inst.pen[v])
+                    assert got == (want.alive[v], want.deg[v], want.pen[v])
+            else:
+                for peeled in (inst, want):
+                    (last,) = [v for v in members if peeled.alive[v]]
+                    assert peeled.deg[last] == 0
 
 
 class TestPendingCycleRule:
@@ -335,6 +420,28 @@ class TestSolve:
     def test_matches_naive(self, g):
         assert solve_fes(g) == naive_diameter(g)
 
+    @pytest.mark.parametrize(
+        "edges, n",
+        [
+            ([(0, 1), (1, 2), (3, 4), (4, 5)], 6),  # two disjoint paths
+            ([], 2),
+            ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),  # two triangles
+            ([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (5, 6)], 7),  # theta + K2
+        ],
+    )
+    def test_rejects_disconnected(self, edges, n):
+        with pytest.raises(DisconnectedGraphError):
+            solve_fes(from_edge_list(edges, n))
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(max_n=12))
+    def test_connectivity_decided_on_the_core(self, g):
+        if is_connected(g):
+            assert solve_fes(g) == naive_diameter(g)
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                solve_fes(g)
+
     def test_matches_naive_on_sparse_family(self):
         for seed in range(60):
             rng = random.Random(seed)
@@ -491,9 +598,9 @@ class TestBoundingDiameters:
 
 def check_core_cost(g, monkeypatch):
     """solve_fes on g: (diameter, its core-bounds event or None), with the
-    cost gate: the event counts every BFS pass over the core, counted at
-    the kernel after the connectivity check, and there are at most two per
-    high vertex."""
+    cost gate: the event counts every BFS pass over the core but the one
+    connectivity check on it, and there are at most two per high vertex.
+    With no event g reduced to one vertex, and no BFS ran at all."""
     kernel = paramdiam.graph._bfs
     calls = []
 
@@ -506,11 +613,11 @@ def check_core_cost(g, monkeypatch):
     got = solve_fes(g, events.append)
     monkeypatch.undo()
     bounds = [e for e in events if e.get("phase") == "core-bounds"]
-    passes = len(calls) - 1
     if not bounds:
-        assert passes == 0
+        assert calls == []
         return got, None
     (event,) = bounds
+    passes = len(calls) - 1  # the connectivity check on the core
     assert passes == event["passes"] + (event["fallback"] or 0)
     assert passes <= 2 * event["high"]
     return got, event

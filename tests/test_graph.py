@@ -1,6 +1,8 @@
 import math
 import random
 import time
+import tracemalloc
+import warnings
 from itertools import product
 
 import numpy as np
@@ -12,6 +14,8 @@ from paramdiam import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
+    Graph,
+    GraphInputError,
     SelfLoopError,
     VertexRangeError,
     format_edge_list,
@@ -42,7 +46,13 @@ from paramdiam.graph import (
     is_connected,
     require_connected,
 )
-from oracles import components_union_find, diameter_floyd, floyd_warshall
+from oracles import (
+    components_union_find,
+    diameter_floyd,
+    edge_list_reference,
+    floyd_warshall,
+    parse_edge_list_reference,
+)
 
 
 def graphs(max_n=12, connected_only=False):
@@ -70,6 +80,23 @@ def graphs(max_n=12, connected_only=False):
     return build()
 
 
+FUZZ_ALPHABET = "0123456789+-#abxzE \t\r\n"
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts: free text over FUZZ_ALPHABET, or the text of a small
+    graph with up to three runs of FUZZ_ALPHABET characters put in."""
+    if draw(st.booleans()):
+        return draw(st.text(alphabet=FUZZ_ALPHABET, max_size=60))
+    text = format_edge_list(draw(graphs(max_n=6)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))
+        text = text[:at] + draw(st.text(alphabet=FUZZ_ALPHABET, max_size=3)) + text[at + cut:]
+    return text
+
+
 class TestConstruction:
     def test_basic(self):
         g = from_edge_list([(0, 1), (1, 2)], 3)
@@ -90,6 +117,45 @@ class TestConstruction:
             from_edge_list([(0, 3)], 3)
         with pytest.raises(VertexRangeError):
             from_edge_list([(-1, 0)], 3)
+
+    def test_first_faulty_edge_names_the_error(self):
+        with pytest.raises(SelfLoopError):
+            from_edge_list([(1, 1), (0, 5)], 3)
+        with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
+            from_edge_list([(0, 1), (1, 0), (2, 2)], 3)
+
+    def test_rejects_vertex_count_above_int32(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(VertexRangeError):
+                from_edge_list([], 3_000_000_000)
+            with pytest.raises(VertexRangeError):
+                parse_edge_list("3000000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # rejected before any per-vertex allocation
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)), max_size=12),
+                st.just(n),
+            )
+        )
+    )
+    def test_matches_per_edge_reference(self, case):
+        edges, n = case
+        try:
+            want = edge_list_reference(edges, n)
+        except GraphInputError as exc:
+            with pytest.raises(type(exc)) as got:
+                from_edge_list(edges, n)
+            assert str(got.value) == str(exc)
+        else:
+            g = from_edge_list(edges, n)
+            assert (g.adjacency, g.m, g.n) == (*want, n)
 
 
 class TestBfsAndDiameter:
@@ -422,3 +488,30 @@ class TestEdgeListFormat:
         again = parse_edge_list(format_edge_list(g))
         assert again.n == g.n
         assert sorted(again.edges()) == sorted(g.edges())
+
+    def test_trailing_comments_signs_and_line_ends(self):
+        g = parse_edge_list("3 2 # n m\r0 +2 # an edge\r\n\t-0\t1\n")
+        assert g.adjacency == ((1, 2), (0,), (0,))
+
+    @pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "1e1", "+-1", "9" * 20])
+    def test_rejects_non_decimal_ids(self, token):
+        with pytest.raises(EdgeListParseError):
+            parse_edge_list(f"11 1\n0 {token}\n")
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_fuzz_matches_line_reference(self, text):
+        try:
+            want = parse_edge_list_reference(text)
+        except GraphInputError as exc:
+            want = type(exc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                g = parse_edge_list(text)
+            except GraphInputError as exc:
+                assert type(exc) is want
+            else:
+                assert isinstance(g, Graph)
+                assert (g.adjacency, g.m) == want
+        assert caught == []
