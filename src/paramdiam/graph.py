@@ -418,10 +418,14 @@ def parse_edge_list(text: str) -> Graph:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            # numpy 1.23 to 2.x read a field such as 1.5 or 1e3 via a float,
+            # truncated it and only warned; raise instead, so the grammar is
+            # the same on every numpy.
+            warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(
                 io.StringIO(text, newline=None), dtype=np.int64, comments="#", ndmin=2
             )
-    except ValueError as exc:
+    except (ValueError, DeprecationWarning) as exc:
         raise EdgeListParseError(f"malformed edge list: {exc}") from None
     if rows.size == 0:
         raise EdgeListParseError("empty input")

@@ -498,6 +498,19 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListParseError):
             parse_edge_list(f"11 1\n0 {token}\n")
 
+    def test_rejects_ids_numpy_reads_via_float(self, monkeypatch):
+        # numpy 1.23 to 2.x parse "1.5" as int64 1 and only emit a
+        # DeprecationWarning; stand in for that fallback on any numpy.
+        def via_float(*args, **kwargs):
+            warnings.warn(
+                "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
+            )
+            return np.array([[3, 1], [0, 1]], dtype=np.int64)
+
+        monkeypatch.setattr(np, "loadtxt", via_float)
+        with pytest.raises(EdgeListParseError):
+            parse_edge_list("3 1\n0 1.5\n")
+
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
     def test_fuzz_matches_line_reference(self, text):
