@@ -23,7 +23,7 @@ from .constructions import (
     parse_dimacs_cnf,
     sat_to_diameter,
 )
-from .deletion import ApspMatrix, apsp_by_bfs, combine_apsp, solve_clique_modulator
+from .deletion import solve_clique_modulator
 from .errors import (
     DisconnectedGraphError,
     GraphInputError,
@@ -33,7 +33,6 @@ from .errors import (
 from .fes import solve_fes
 from .graph import (
     Graph,
-    induced_subgraph,
     load_edge_list,
     naive_diameter,
     save_edge_list,
@@ -54,14 +53,8 @@ EXIT_DISCONNECTED = 3
 EXIT_BAD_MODULATOR = 4
 EXIT_VERIFY_MISMATCH = 5
 
-ALGOS = (
-    "auto", "naive", "bounded", "fes", "cograph", "hindex-diam", "clique", "deletion",
-)
-MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique", "deletion")
-
-# auto's routing thresholds: the largest cograph modulator and h-index it routes
-COGRAPH_THRESHOLD = 12
-HINDEX_THRESHOLD = 40
+ALGOS = ("auto", "naive", "bounded", "fes", "cograph", "hindex-diam", "clique")
+MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 
 def _load_modulator(path: str) -> set[int]:
@@ -83,25 +76,17 @@ def _trace_sink(enabled: bool):
     return sink
 
 
-def _pick_auto(
-    g: Graph, cograph_threshold: int, hindex_threshold: int
-) -> tuple[str, set[int]]:
-    """The algorithm to run, plus the cograph modulator built to choose it.
+def _pick_auto(g: Graph) -> str:
+    """``"fes"`` when its worst case makes fewer BFS passes than bounded's.
 
-    The modulator scan stops once the modulator exceeds the largest size a
-    rule below compares it with, so it is complete whenever it is small
-    enough for the cograph route.
+    With k = m - n + 1, ``solve_fes`` makes at most two BFS passes per high
+    vertex of its reduced core, which has at most 2(k - 1) of them: at most
+    4(k - 1) passes.  ``solve_bounded`` makes at most n.  Both are exact on
+    any connected graph, so the rule picks the smaller worst case in O(1),
+    and no parameter or modulator is computed to choose.
     """
-    k_fes = g.m - g.n + 1
-    h = h_index(g)
-    k = cograph_modulator(g, max(cograph_threshold, k_fes if k_fes <= h else 0))
-    if k_fes <= min(len(k), h):
-        return "fes", k
-    if len(k) <= cograph_threshold:
-        return "cograph", k
-    if h <= hindex_threshold:
-        return "hindex-diam", k
-    return "bounded", k
+    k = g.m - g.n + 1
+    return "fes" if 4 * (k - 1) < g.n else "bounded"
 
 
 def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple[int, dict]:
@@ -119,13 +104,6 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
     if algo == "clique":
         k = modulator if modulator is not None else clique_modulator_2approx(g)
         return solve_clique_modulator(g, k), {"clique_modulator_size": len(k)}
-    if algo == "deletion":
-        k = modulator if modulator is not None else clique_modulator_2approx(g)
-        rest = [v for v in range(g.n) if v not in k]
-        sub, order = induced_subgraph(g, rest)
-        base = ApspMatrix(tuple(order), apsp_by_bfs(sub).dist)
-        full = combine_apsp(g, set(k), base)
-        return full.diameter(), {"deletion_set_size": len(k)}
     raise ParamDiamError(f"unknown algorithm {algo!r}")
 
 
@@ -146,10 +124,8 @@ def cmd_solve(args) -> int:
     select_ms = 0.0
     if algo == "auto":
         start = time.perf_counter()
-        algo, k = _pick_auto(g, COGRAPH_THRESHOLD, HINDEX_THRESHOLD)
+        algo = _pick_auto(g)
         select_ms = (time.perf_counter() - start) * 1000.0
-        if algo == "cograph":
-            modulator = k
     start = time.perf_counter()
     diameter, used = _run_solver(g, algo, modulator, _trace_sink(args.trace))
     elapsed_ms = (time.perf_counter() - start) * 1000.0

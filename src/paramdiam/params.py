@@ -67,24 +67,14 @@ def find_induced_p4(g: Graph) -> tuple[int, int, int, int] | None:
     return next(_p4_scan(g), None)
 
 
-def cograph_modulator(g: Graph, limit: int | None = None) -> set[int]:
+def cograph_modulator(g: Graph) -> set[int]:
     """Vertex set whose removal leaves the graph P4-free.
 
     The union of the disjoint P4s that one :func:`_p4_scan` pass deletes;
     the result size is a multiple of four and at most four times the
-    optimum, since every modulator meets each of those P4s.  With a
-    ``limit``, the scan stops once more than ``limit`` vertices are taken:
-    the result is then the full modulator if that has at most ``limit``
-    vertices, and otherwise a part of it with more than ``limit`` vertices
-    (not a valid modulator), which is enough to compare its size with
-    ``limit`` or any smaller number.
+    optimum, since every modulator meets each of those P4s.
     """
-    removed: set[int] = set()
-    for hit in _p4_scan(g):
-        removed.update(hit)
-        if limit is not None and len(removed) > limit:
-            break
-    return removed
+    return {v for hit in _p4_scan(g) for v in hit}
 
 
 def h_index(g: Graph) -> int:

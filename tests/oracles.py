@@ -198,7 +198,7 @@ def find_induced_p4_restarting(g: Graph) -> tuple[int, int, int, int] | None:
     return None
 
 
-def cograph_modulator_restarting(g: Graph, limit: int | None = None) -> set[int]:
+def cograph_modulator_restarting(g: Graph) -> set[int]:
     """Peel a P4, rebuild the induced subgraph, rescan from the first edge."""
     removed: set[int] = set()
     current = g
@@ -208,8 +208,6 @@ def cograph_modulator_restarting(g: Graph, limit: int | None = None) -> set[int]
         if hit is None:
             return removed
         removed.update(order[v] for v in hit)
-        if limit is not None and len(removed) > limit:
-            return removed
         keep = [v for v in range(current.n) if v not in hit]
         current, sub_order = induced_subgraph(current, keep)
         order = [order[v] for v in sub_order]

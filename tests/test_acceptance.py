@@ -7,6 +7,8 @@ survives pytest's capture.  All numeric comparisons are exact.
 import random
 import sys
 import time
+
+import paramdiam.graph
 from paramdiam import (
     from_edge_list,
     naive_diameter,
@@ -301,6 +303,30 @@ def test_criterion_7_scaling_sanity():
     ok = all(t < 5.0 for t in times)
     ok = ok and times[1] / times[0] < 3 and times[2] / times[1] < 3
     report("7 scaling-sanity", ok)
+
+
+def test_criterion_7_passes_independent_of_n(monkeypatch):
+    """The pass count behind the timing gate above: whatever n, solve_fes
+    makes at most 4(k - 1) BFS passes on the core after its one
+    connectivity check there, and reports each of them."""
+    kernel = paramdiam.graph._bfs
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(paramdiam.graph, "_bfs", counted)
+    ok = True
+    for n in (10_000, 20_000, 40_000):
+        g = gen_tree_plus_k(n, 20, 7)
+        calls.clear()
+        events = []
+        solve_fes(g, events.append)
+        (event,) = [e for e in events if e.get("phase") == "core-bounds"]
+        passes = event["passes"] + (event["fallback"] or 0)
+        ok = ok and passes == len(calls) - 1 <= 4 * (g.m - g.n)
+    report("7 pass-count", ok)
 
 
 def test_criterion_8_modulator_validity():

@@ -2,14 +2,19 @@ import json
 
 import pytest
 
+import paramdiam.cli
+import paramdiam.params
 from paramdiam import from_edge_list, load_edge_list, naive_diameter, save_edge_list
 from paramdiam.constructions import (
+    bipartite_girth_construction,
+    bisection_construction,
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
+    sat_to_diameter,
 )
-from paramdiam.params import cograph_modulator, h_index
 from paramdiam.cli import _pick_auto, main
+from test_graph import random_3cnf
 
 
 @pytest.fixture
@@ -42,7 +47,7 @@ class TestParams:
 
 class TestSolve:
     @pytest.mark.parametrize(
-        "algo", ["auto", "naive", "fes", "cograph", "hindex-diam", "clique", "deletion"]
+        "algo", ["auto", "naive", "fes", "cograph", "hindex-diam", "clique"]
     )
     def test_all_algorithms_agree(self, capsys, path_graph, algo):
         code, out, _ = run(capsys, "solve", path_graph, "--algo", algo)
@@ -93,7 +98,13 @@ class TestSolve:
             capsys, "solve", path_graph, "--algo", algo, "--modulator", str(mod)
         )
         assert code == 4
-        assert out == "" and "cograph|hindex-diam|clique|deletion" in err
+        assert out == "" and "needs --algo cograph|hindex-diam|clique, not" in err
+
+    def test_deletion_is_not_an_algorithm(self, capsys, path_graph):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", path_graph, "--algo", "deletion"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_exit_code_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
@@ -204,20 +215,6 @@ class TestSelectMs:
         assert json.loads(out)["select_ms"] == 0.0
 
 
-def pick_with_full_modulator(g, cograph_threshold, hindex_threshold):
-    """The routing rule evaluated on the whole cograph modulator."""
-    k_fes = g.m - g.n + 1
-    k = cograph_modulator(g)
-    h = h_index(g)
-    if k_fes <= min(len(k), h):
-        return "fes", k
-    if len(k) <= cograph_threshold:
-        return "cograph", k
-    if h <= hindex_threshold:
-        return "hindex-diam", k
-    return "bounded", k
-
-
 def caterpillar_plus(spine, leaves, extra):
     """A path of ``spine`` hubs with ``leaves`` leaves each, plus ``extra``
     leaf-to-leaf edges: h-index ``spine``, feedback edge number ``extra``."""
@@ -232,26 +229,77 @@ def caterpillar_plus(spine, leaves, extra):
     return from_edge_list(edges, spine * (leaves + 1))
 
 
+def auto_corpus():
+    """Seeded graphs of the random families, two small special cases, and
+    the three constructions."""
+    graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
+              enumerate(((60, 0), (80, 3), (120, 8), (200, 15)))]
+    graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
+               enumerate(((15, 0.4), (30, 0.2), (50, 0.12), (80, 0.08)))]
+    graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
+               enumerate(((20, 0), (40, 2), (60, 3), (90, 6)))]
+    graphs.append(from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4))
+    graphs.append(caterpillar_plus(10, 10, 6))
+    graphs += [bipartite_girth_construction(gen_connected_er(15, 0.3, 1)).graph,
+               bisection_construction(gen_tree_plus_k(15, 3, 2)).graph,
+               sat_to_diameter(random_3cnf(4, 6, 3)).graph]
+    return graphs
+
+
+@pytest.fixture
+def no_modulator_scan(monkeypatch):
+    """Make any cograph-modulator scan fail the test."""
+    def scan(g):
+        raise AssertionError("the cograph-modulator scan ran")
+
+    monkeypatch.setattr(paramdiam.params, "_p4_scan", scan)
+
+
+def solve_auto(capsys, path):
+    """``solve`` with the default algorithm: (exit code, report).  The graph
+    it loads has no neighbour masks afterwards."""
+    loaded = []
+
+    def load(p):
+        loaded.append(load_edge_list(p))
+        return loaded[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(paramdiam.cli, "load_edge_list", load)
+        code, out, _ = run(capsys, "solve", path)
+    assert loaded[0]._masks is None
+    return code, json.loads(out) if out else None
+
+
 class TestPickAuto:
-    def test_same_route_as_full_modulator(self):
-        graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
-                  enumerate(((60, 0), (80, 3), (120, 8), (200, 15)))]
-        graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
-                   enumerate(((15, 0.4), (30, 0.2), (50, 0.12), (80, 0.08)))]
-        graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
-                   enumerate(((20, 0), (40, 2), (60, 3), (90, 6)))]
-        graphs.append(from_edge_list([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)], 4))
-        graphs.append(caterpillar_plus(10, 10, 6))
+    def test_route_follows_pass_bound(self, capsys, tmp_path, no_modulator_scan):
         routes = set()
-        for g in graphs:
-            for cograph_threshold in (0, 4, 12, 40):
-                for hindex_threshold in (0, 3, 40):
-                    want, full = pick_with_full_modulator(
-                        g, cograph_threshold, hindex_threshold
-                    )
-                    got, k = _pick_auto(g, cograph_threshold, hindex_threshold)
-                    assert got == want
-                    if got == "cograph":
-                        assert k == full  # the solver never gets a partial set
-                    routes.add(got)
-        assert routes == {"fes", "cograph", "hindex-diam", "bounded"}
+        for i, g in enumerate(auto_corpus()):
+            want = "fes" if 4 * (g.m - g.n) < g.n else "bounded"
+            assert _pick_auto(g) == want
+            path = str(tmp_path / f"g{i}.el")
+            save_edge_list(g, path)
+            code, rep = solve_auto(capsys, path)
+            assert code == 0 and rep["algo"] == want
+            assert rep["diameter"] == naive_diameter(g)
+            routes.add(want)
+        assert routes == {"fes", "bounded"}
+
+    def test_pass_bound_is_strict(self):
+        """fes only while its 4(k - 1) passes stay below n: a cycle with
+        two chords has k = 3, so 4(k - 1) = 8."""
+        def cycle_with_two_chords(n):
+            cycle = [(i, (i + 1) % n) for i in range(n)]
+            return from_edge_list(cycle + [(0, 2), (0, 3)], n)
+
+        assert _pick_auto(cycle_with_two_chords(8)) == "bounded"
+        assert _pick_auto(cycle_with_two_chords(9)) == "fes"
+
+    def test_large_sparse_tree_routes_to_fes(self, capsys, tmp_path, no_modulator_scan):
+        """n = 100000, where a modulator scan would build n^2/16 bytes of
+        neighbour masks."""
+        path = str(tmp_path / "tree.el")
+        save_edge_list(gen_tree_plus_k(100000, 50, 2), path)
+        code, rep = solve_auto(capsys, path)
+        assert code == 0 and rep["algo"] == "fes"
+        assert rep["parameters"] == {"feedback_edge_number": 50}

@@ -600,6 +600,8 @@ def check_core_cost(g, monkeypatch):
     """solve_fes on g: (diameter, its core-bounds event or None), with the
     cost gate: the event counts every BFS pass over the core but the one
     connectivity check on it, and there are at most two per high vertex.
+    A core has at most 2(k - 1) high vertices, k = m - n + 1, so at most
+    4(k - 1) passes: the bound ``auto`` weighs against bounded's n.
     With no event g reduced to one vertex, and no BFS ran at all."""
     kernel = paramdiam.graph._bfs
     calls = []
@@ -620,6 +622,9 @@ def check_core_cost(g, monkeypatch):
     passes = len(calls) - 1  # the connectivity check on the core
     assert passes == event["passes"] + (event["fallback"] or 0)
     assert passes <= 2 * event["high"]
+    k = g.m - g.n + 1
+    assert event["high"] <= 2 * (k - 1)
+    assert passes <= 4 * (k - 1)
     return got, event
 
 

@@ -344,6 +344,24 @@ def test_no_pruning_within_a_quarter_of_naive():
     assert best_of_three(solve_bounded, g) <= 1.25 * best_of_three(naive_diameter, g)
 
 
+def test_no_pruning_takes_at_most_n_passes(monkeypatch):
+    """The pass count behind the timing gate above: one BFS per vertex at
+    most, each one a kernel call."""
+    g = circulant(500, 21)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return _bfs(*args, **kwargs)
+
+    monkeypatch.setattr("paramdiam.graph._bfs", counted)
+    events = []
+    solve_bounded(g, events.append)
+    (event,) = events
+    assert event["lower"] == event["upper"]
+    assert event["passes"] == len(calls) <= g.n
+
+
 class TestBfsRows:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())

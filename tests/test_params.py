@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from paramdiam import from_edge_list
 from paramdiam.constructions import (
@@ -127,45 +126,9 @@ class TestReport:
         assert Fraction(rep["average_degree"]) == Fraction(2)
 
 
-def check_limited_modulator(g, limit):
-    full = cograph_modulator(g)
-    part = cograph_modulator(g, limit)
-    if len(full) <= limit:
-        assert part == full
-    else:
-        assert len(part) > limit
-        assert part <= full
-
-
-class TestCographModulatorLimit:
-    def test_seeded_graphs_every_limit(self):
-        graphs = [gen_connected_er(n, p, seed) for seed, (n, p) in
-                  enumerate(((20, 0.3), (40, 0.2), (60, 0.1)))]
-        graphs += [gen_random_cograph_plus(n, extra, seed) for seed, (n, extra) in
-                   enumerate(((30, 2), (60, 4)))]
-        sizes = set()
-        for g in graphs:
-            full = cograph_modulator(g)
-            sizes.add(len(full))
-            for limit in range(-1, len(full) + 5):
-                check_limited_modulator(g, limit)
-        assert max(sizes) >= 12  # several peels happen before the limit
-
-    def test_stops_at_the_first_peel_past_the_limit(self):
-        g = gen_connected_er(40, 0.2, 1)
-        assert len(cograph_modulator(g)) > 8
-        assert len(cograph_modulator(g, 0)) == 4
-        assert len(cograph_modulator(g, 4)) == 8
-
-    @settings(max_examples=120, deadline=None)
-    @given(graphs(max_n=10), st.integers(-1, 12))
-    def test_full_or_larger_than_limit(self, g, limit):
-        check_limited_modulator(g, limit)
-
-
 def single_scan_corpus():
     """Seeded graphs of every family and construction, small enough for the
-    peel-and-restart reference to take every limit."""
+    peel-and-restart reference."""
     graphs = [gen_tree_plus_k(n, k, seed) for seed, (n, k) in
               enumerate(((30, 0), (120, 5), (300, 20)))]
     graphs += [gen_connected_er(n, p, seed) for seed, (n, p) in
@@ -178,10 +141,8 @@ def single_scan_corpus():
     return graphs
 
 
-def assert_same_as_restarting(g, limits):
+def assert_same_as_restarting(g):
     assert cograph_modulator(g) == cograph_modulator_restarting(g)
-    for limit in limits:
-        assert cograph_modulator(g, limit) == cograph_modulator_restarting(g, limit)
     assert find_induced_p4(g) == find_induced_p4_restarting(g)
     assert clique_modulator_2approx(g) == clique_modulator_quadratic(g)
 
@@ -191,13 +152,12 @@ class TestSingleScan:
 
     @pytest.mark.parametrize("g", single_scan_corpus())
     def test_seeded_corpus_every_limit(self, g):
-        size = len(cograph_modulator_restarting(g))
-        assert_same_as_restarting(g, range(-1, size + 5))
+        assert_same_as_restarting(g)
 
     @settings(max_examples=150, deadline=None)
-    @given(graphs(max_n=14), st.integers(-1, 16))
-    def test_random_graphs(self, g, limit):
-        assert_same_as_restarting(g, [limit])
+    @given(graphs(max_n=14))
+    def test_random_graphs(self, g):
+        assert_same_as_restarting(g)
 
     def test_report_on_ten_thousand_vertices_in_seconds(self):
         g = gen_tree_plus_k(10000, 10, 1)
