@@ -9,62 +9,51 @@ and a CLI wrapping all of it.
 The package root exports the solvers, the graph type, edge-list I/O and
 the error types; everything else is imported from its submodule
 (``paramdiam.params``, ``paramdiam.constructions``, ...).
+
+``import paramdiam`` loads no submodule, and so no numpy: each exported
+name imports its submodule on first use (PEP 562).  That lets the CLI
+choose numpy's BLAS threading before numpy loads.
 """
 
-from .cograph import solve_cograph
-from .deletion import solve_clique_modulator
-from .errors import (
-    CnfParseError,
-    ContractViolationError,
-    DisconnectedGraphError,
-    DuplicateEdgeError,
-    EdgeListParseError,
-    EmptyClauseError,
-    GenerationError,
-    GraphInputError,
-    InvalidModulatorError,
-    ParamDiamError,
-    SelfLoopError,
-    VertexRangeError,
-)
-from .fes import solve_fes
-from .graph import (
-    Graph,
-    format_edge_list,
-    from_edge_list,
-    load_edge_list,
-    naive_diameter,
-    parse_edge_list,
-    save_edge_list,
-    solve_bounded,
-)
-from .hindex import solve_hd
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CnfParseError",
-    "ContractViolationError",
-    "DisconnectedGraphError",
-    "DuplicateEdgeError",
-    "EdgeListParseError",
-    "EmptyClauseError",
-    "GenerationError",
-    "Graph",
-    "GraphInputError",
-    "InvalidModulatorError",
-    "ParamDiamError",
-    "SelfLoopError",
-    "VertexRangeError",
-    "format_edge_list",
-    "from_edge_list",
-    "load_edge_list",
-    "naive_diameter",
-    "parse_edge_list",
-    "save_edge_list",
-    "solve_bounded",
-    "solve_clique_modulator",
-    "solve_cograph",
-    "solve_fes",
-    "solve_hd",
-]
+_SUBMODULE = {
+    "CnfParseError": "errors",
+    "ContractViolationError": "errors",
+    "DisconnectedGraphError": "errors",
+    "DuplicateEdgeError": "errors",
+    "EdgeListParseError": "errors",
+    "EmptyClauseError": "errors",
+    "GenerationError": "errors",
+    "GraphInputError": "errors",
+    "InvalidModulatorError": "errors",
+    "ParamDiamError": "errors",
+    "SelfLoopError": "errors",
+    "VertexRangeError": "errors",
+    "Graph": "graph",
+    "format_edge_list": "graph",
+    "from_edge_list": "graph",
+    "load_edge_list": "graph",
+    "naive_diameter": "graph",
+    "parse_edge_list": "graph",
+    "save_edge_list": "graph",
+    "solve_bounded": "graph",
+    "solve_clique_modulator": "deletion",
+    "solve_cograph": "cograph",
+    "solve_fes": "fes",
+    "solve_hd": "hindex",
+}
+
+__all__ = sorted(_SUBMODULE)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SUBMODULE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -103,29 +103,6 @@ class WeightedDiameterInstance:
         return red, order, [self.pen[v] for v in order]
 
 
-def weighted_diameter_oracle(inst: WeightedDiameterInstance) -> int:
-    """max(s, max over pairs v != w of pen(v) + dist(v, w) + pen(w)).
-
-    Brute force by one BFS per surviving vertex; the reference against which
-    the reduction rules and case sweeps are validated.  A single surviving
-    vertex yields s (the pair range is unordered and excludes v = w).
-    """
-    red, _, pen = inst.compacted()
-    if red.n == 0:
-        raise VertexRangeError("no vertices left")
-    best = inst.s
-    for v in range(red.n):
-        row = _bfs_dist(red.adjacency, red.n, v)
-        for w in range(v + 1, red.n):
-            d = row[w]
-            if d == UNREACHABLE:
-                raise DisconnectedGraphError("instance graph is not connected")
-            cand = pen[v] + d + pen[w]
-            if cand > best:
-                best = cand
-    return best
-
-
 def max_weighted_pair_cyclic(
     positions: Sequence[int], weights: Sequence[int], cycle_len: int
 ) -> int | None:
@@ -170,28 +147,6 @@ def max_weighted_pair_cyclic(
 # Reduction rules
 
 
-def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -> int:
-    """Remove a degree-one vertex, folding its pen weight into the neighbor.
-
-    Returns that neighbor.
-    """
-    if not inst.alive[u] or inst.degree(u) != 1:
-        raise ContractViolationError(f"vertex {u} is not a live degree-one vertex")
-    (v,) = inst.neighbors(u)
-    inst.s = max(inst.s, inst.pen[u] + inst.pen[v] + 1)
-    inst.pen[v] = max(inst.pen[u] + 1, inst.pen[v])
-    inst.remove_vertex(u)
-    if trace is not None:
-        trace({
-            "rule": "degree-one",
-            "removed": u,
-            "anchor": v,
-            "s": inst.s,
-            "pen_anchor": inst.pen[v],
-        })
-    return v
-
-
 def apply_rr2(
     inst: WeightedDiameterInstance, cycle: Sequence[int], trace: TraceSink = None
 ) -> None:
@@ -231,11 +186,12 @@ def apply_rr2(
 
 
 def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
-    """:func:`apply_rr1` until no live degree-one vertex is left, as one loop.
+    """The degree-one rule until no live degree-one vertex is left, as one loop.
 
-    The leaves are taken first in ascending order, then each anchor as it
-    drops to degree one, the same order and trace events as repeated
-    :func:`apply_rr1` calls, without a neighbour list per removal.
+    Each step removes a live degree-one vertex u with neighbour v, raising s
+    to at least pen(u) + pen(v) + 1 and pen(v) to at least pen(u) + 1.  The
+    leaves are taken first in ascending order, then each anchor as it drops
+    to degree one, with one ``degree-one`` trace event per removal.
     """
     adjacency = inst.graph.adjacency
     alive, deg, pen = inst.alive, inst.deg, inst.pen
@@ -440,33 +396,6 @@ def _path_sweep(pens: np.ndarray, f: np.ndarray, g: np.ndarray, w: np.ndarray) -
     cut = np.searchsorted(ts, 2 * i - a)
     cand = np.maximum(i + suffix_wf[cut], (a - i) + prefix_wg[cut])
     return int((cand + pens).max())
-
-
-def case3_path_pair(
-    pens1: Sequence[int],
-    pens2: Sequence[int],
-    d00: int,
-    d0b: int,
-    da0: int,
-    dab: int,
-) -> int | None:
-    """Best pen-weighted distance between interiors of two distinct paths.
-
-    The four arguments are the graph distances between the path endpoints
-    (x_0/x_a of the first path to y_0/y_b of the second).  Interior-to-
-    interior routes must exit through one endpoint of each path, so the
-    distance from x_0 to y_j is f(j) = min(d00 + j, d0b + b - j), likewise
-    g(j) from x_a, and :func:`_path_sweep` does the rest.
-    """
-    a = len(pens1) - 1
-    b = len(pens2) - 1
-    if a < 2 or b < 2:
-        return None
-    j = np.arange(1, b, dtype=np.int64)
-    f = np.minimum(d00 + j, d0b + (b - j))
-    g = np.minimum(da0 + j, dab + (b - j))
-    w = np.asarray(pens2[1:b], dtype=np.int64)
-    return _path_sweep(np.asarray(pens1[1:a], dtype=np.int64), f, g, w)
 
 
 def case3_all_paths(

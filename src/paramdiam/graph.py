@@ -177,18 +177,8 @@ def _bfs_dist(adjacency: Sequence[Iterable[int]], n: int, source: int) -> list[i
     return dist
 
 
-def bfs(g: Graph, source: int) -> tuple[int, ...]:
-    """Exact unweighted shortest-path distances from ``source``.
-
-    ``bfs(g, source)[v] == UNREACHABLE`` if v is in another component.
-    """
-    if not (0 <= source < g.n):
-        raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
-    return tuple(_bfs_dist(g.adjacency, g.n, source))
-
-
 def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
-    """int32 matrix of shape (len(sources), n); row i is ``bfs(g, sources[i])``.
+    """int32 matrix of shape (len(sources), n); row i holds the distances from ``sources[i]``.
 
     UNREACHABLE entries are kept; each caller decides whether they are an
     error.
@@ -348,39 +338,6 @@ def connected_components(g: Graph, removed: Iterable[int] = ()) -> list[int]:
         for v in tree:
             labels[v] = label
     return labels
-
-
-def is_bipartite(g: Graph) -> bool:
-    """Whether g is 2-colourable: no edge joins two vertices of one BFS layer."""
-    dist, _ = _bfs_forest(g)
-    return all(dist[u] != dist[v] for u, v in g.edges())
-
-
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for acyclic graphs.
-
-    BFS from every vertex v, only as deep as a shorter cycle could reach.
-    An edge inside layer d closes a walk of length 2d + 1 through v, and a
-    vertex of layer d with two neighbours in layer d - 1 one of length 2d;
-    either walk contains a cycle at most that long, and for v on a
-    shortest cycle one of them is that cycle.
-    """
-    best: int | None = None
-    for v in range(g.n):
-        dist = [UNREACHABLE] * g.n
-        depth = None if best is None else (best - 1) // 2
-        for u in _bfs(g.adjacency, v, dist, depth)[1:]:
-            d = dist[u]
-            layers = [dist[w] for w in g.adjacency[u]]
-            if layers.count(d - 1) >= 2:
-                cand = 2 * d
-            elif d in layers:
-                cand = 2 * d + 1
-            else:
-                continue
-            if best is None or cand < best:
-                best = cand
-    return best
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int]]:

@@ -6,23 +6,44 @@ union-find rather than traversal, and the structural searches enumerate
 subsets outright.  The modulator references are the
 peel-and-restart and quadratic versions that ``paramdiam.params`` replaced,
 kept to check that the single-pass versions return the same sets, and the
-edge-list references at the end read text line by line and check edges one
-at a time, where ``paramdiam.graph`` works on whole arrays.
+edge-list references read text line by line and check edges one at a time,
+where ``paramdiam.graph`` works on whole arrays.
+
+The helpers at the end are the exceptions: they run on the package's BFS
+kernel, and no code in the package calls them.  ``bfs``, ``is_bipartite``
+and ``girth`` serve the graph and construction tests; ``apply_rr1`` and
+``case3_path_pair`` are the one-step rule and the one-pair sweep that
+``paramdiam.fes`` replaced with single loops, kept as their references; and
+``weighted_diameter_oracle`` is the brute-force weighted diameter that the
+reduction rules are checked against.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import combinations
+from typing import Sequence
+
+import numpy as np
 
 from paramdiam import (
+    ContractViolationError,
+    DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
     Graph,
     SelfLoopError,
     VertexRangeError,
 )
-from paramdiam.graph import induced_subgraph
+from paramdiam.fes import WeightedDiameterInstance, _path_sweep
+from paramdiam.graph import (
+    UNREACHABLE,
+    TraceSink,
+    _bfs,
+    _bfs_dist,
+    _bfs_forest,
+    induced_subgraph,
+)
 
 INF = float("inf")
 
@@ -297,3 +318,122 @@ def parse_edge_list_reference(text: str):
     if len(rows) - 1 != m:
         raise EdgeListParseError("edge count differs from the header")
     return edge_list_reference(rows[1:], n)
+
+
+# ---------------------------------------------------------------------------
+# Helpers on the package's BFS kernel that the package itself does not call
+
+
+def bfs(g: Graph, source: int) -> tuple[int, ...]:
+    """Exact unweighted shortest-path distances from ``source``.
+
+    ``bfs(g, source)[v] == UNREACHABLE`` if v is in another component.
+    """
+    if not (0 <= source < g.n):
+        raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
+    return tuple(_bfs_dist(g.adjacency, g.n, source))
+
+
+def is_bipartite(g: Graph) -> bool:
+    """Whether g is 2-colourable: no edge joins two vertices of one BFS layer."""
+    dist, _ = _bfs_forest(g)
+    return all(dist[u] != dist[v] for u, v in g.edges())
+
+
+def girth(g: Graph) -> int | None:
+    """Length of a shortest cycle, or None for acyclic graphs.
+
+    BFS from every vertex v, only as deep as a shorter cycle could reach.
+    An edge inside layer d closes a walk of length 2d + 1 through v, and a
+    vertex of layer d with two neighbours in layer d - 1 one of length 2d;
+    either walk contains a cycle at most that long, and for v on a
+    shortest cycle one of them is that cycle.
+    """
+    best: int | None = None
+    for v in range(g.n):
+        dist = [UNREACHABLE] * g.n
+        depth = None if best is None else (best - 1) // 2
+        for u in _bfs(g.adjacency, v, dist, depth)[1:]:
+            d = dist[u]
+            layers = [dist[w] for w in g.adjacency[u]]
+            if layers.count(d - 1) >= 2:
+                cand = 2 * d
+            elif d in layers:
+                cand = 2 * d + 1
+            else:
+                continue
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -> int:
+    """Remove a degree-one vertex, folding its pen weight into the neighbor.
+
+    Returns that neighbor.
+    """
+    if not inst.alive[u] or inst.degree(u) != 1:
+        raise ContractViolationError(f"vertex {u} is not a live degree-one vertex")
+    (v,) = inst.neighbors(u)
+    inst.s = max(inst.s, inst.pen[u] + inst.pen[v] + 1)
+    inst.pen[v] = max(inst.pen[u] + 1, inst.pen[v])
+    inst.remove_vertex(u)
+    if trace is not None:
+        trace({
+            "rule": "degree-one",
+            "removed": u,
+            "anchor": v,
+            "s": inst.s,
+            "pen_anchor": inst.pen[v],
+        })
+    return v
+
+
+def case3_path_pair(
+    pens1: Sequence[int],
+    pens2: Sequence[int],
+    d00: int,
+    d0b: int,
+    da0: int,
+    dab: int,
+) -> int | None:
+    """Best pen-weighted distance between interiors of two distinct paths.
+
+    The four arguments are the graph distances between the path endpoints
+    (x_0/x_a of the first path to y_0/y_b of the second).  Interior-to-
+    interior routes must exit through one endpoint of each path, so the
+    distance from x_0 to y_j is f(j) = min(d00 + j, d0b + b - j), likewise
+    g(j) from x_a, and :func:`_path_sweep` does the rest.
+    """
+    a = len(pens1) - 1
+    b = len(pens2) - 1
+    if a < 2 or b < 2:
+        return None
+    j = np.arange(1, b, dtype=np.int64)
+    f = np.minimum(d00 + j, d0b + (b - j))
+    g = np.minimum(da0 + j, dab + (b - j))
+    w = np.asarray(pens2[1:b], dtype=np.int64)
+    return _path_sweep(np.asarray(pens1[1:a], dtype=np.int64), f, g, w)
+
+
+def weighted_diameter_oracle(inst: WeightedDiameterInstance) -> int:
+    """max(s, max over pairs v != w of pen(v) + dist(v, w) + pen(w)).
+
+    Brute force by one BFS per surviving vertex; the reference against which
+    the reduction rules and case sweeps are validated.  A single surviving
+    vertex yields s (the pair range is unordered and excludes v = w).
+    """
+    red, _, pen = inst.compacted()
+    if red.n == 0:
+        raise VertexRangeError("no vertices left")
+    best = inst.s
+    for v in range(red.n):
+        row = _bfs_dist(red.adjacency, red.n, v)
+        for w in range(v + 1, red.n):
+            d = row[w]
+            if d == UNREACHABLE:
+                raise DisconnectedGraphError("instance graph is not connected")
+            cand = pen[v] + d + pen[w]
+            if cand > best:
+                best = cand
+    return best

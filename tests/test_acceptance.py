@@ -30,22 +30,25 @@ from paramdiam.constructions import (
 from paramdiam.deletion import ApspMatrix, apsp_by_bfs, combine_apsp
 from paramdiam.fes import (
     WeightedDiameterInstance,
-    apply_rr1,
     apply_rr2,
     case2_same_path,
-    case3_path_pair,
     decompose,
     find_pending_cycles,
     reduce_exhaustively,
-    weighted_diameter_oracle,
 )
-from paramdiam.graph import bfs, girth, induced_subgraph, is_bipartite
+from paramdiam.graph import induced_subgraph
 from paramdiam.params import clique_modulator_2approx, cograph_modulator
 from oracles import (
+    apply_rr1,
+    bfs,
     case2_quadratic,
+    case3_path_pair,
     case3_quadratic,
+    girth,
     has_induced_p4,
+    is_bipartite,
     min_clique_modulator_size,
+    weighted_diameter_oracle,
 )
 from test_constructions import TRIANGLE_PLUS_TAIL, all_formulas
 

@@ -214,6 +214,14 @@ class TestSelectMs:
         assert code == 0
         assert json.loads(out)["select_ms"] == 0.0
 
+    @pytest.mark.parametrize("algo", ["auto", "fes"])
+    def test_phase_times_are_nonnegative_floats(self, capsys, path_graph, algo):
+        code, out, _ = run(capsys, "solve", path_graph, "--algo", algo)
+        rep = json.loads(out)
+        assert code == 0
+        for key in ("load_ms", "select_ms", "ms"):
+            assert isinstance(rep[key], float) and rep[key] >= 0.0, key
+
 
 def caterpillar_plus(spine, leaves, extra):
     """A path of ``spine`` hubs with ``leaves`` leaves each, plus ``extra``

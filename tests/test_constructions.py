@@ -24,8 +24,9 @@ from paramdiam.constructions import (
     parse_dimacs_cnf,
     sat_to_diameter,
 )
-from paramdiam.graph import girth, is_bipartite, is_connected
+from paramdiam.graph import is_connected
 from paramdiam.params import find_induced_p4
+from oracles import girth, is_bipartite
 from test_graph import graphs
 
 TRIANGLE_PLUS_TAIL = from_edge_list([(0, 1), (0, 2), (1, 2), (2, 3)], 4)

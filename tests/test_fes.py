@@ -18,31 +18,31 @@ from paramdiam.constructions import gen_connected_er, gen_tree_plus_k
 from paramdiam.fes import (
     WeightedDiameterInstance,
     _rr1_exhaust,
-    apply_rr1,
     apply_rr2,
     case1_high_bfs,
     case2_same_path,
     case3_all_paths,
-    case3_path_pair,
     decompose,
     find_pending_cycles,
     max_weighted_pair_cyclic,
     reduce_exhaustively,
-    weighted_diameter_oracle,
 )
 import paramdiam.graph
 from paramdiam.graph import (
-    bfs,
     bounding_diameters,
     connected_components,
     induced_subgraph,
     is_connected,
 )
 from oracles import (
+    apply_rr1,
+    bfs,
     case2_quadratic,
+    case3_path_pair,
     case3_quadratic,
     max_weighted_pair_cyclic_quadratic,
     weighted_diameter_floyd,
+    weighted_diameter_oracle,
 )
 from test_graph import circulant, graphs
 

@@ -36,21 +36,21 @@ from paramdiam.constructions import (
 from paramdiam.graph import (
     UNREACHABLE,
     _bfs,
-    bfs,
     bfs_rows,
     connected_components,
     eccentricity,
-    girth,
     induced_subgraph,
-    is_bipartite,
     is_connected,
     require_connected,
 )
 from oracles import (
+    bfs,
     components_union_find,
     diameter_floyd,
     edge_list_reference,
     floyd_warshall,
+    girth,
+    is_bipartite,
     parse_edge_list_reference,
 )
 

@@ -18,10 +18,10 @@ from paramdiam.constructions import (
     gen_connected_er,
     gen_tree_plus_k,
 )
-from paramdiam.graph import bfs, induced_subgraph
+from paramdiam.graph import induced_subgraph
 from paramdiam.hindex import truncated_bfs_count
 from paramdiam.params import hub_set
-from oracles import floyd_warshall
+from oracles import bfs, floyd_warshall
 from test_graph import best_of_three, graphs
 
 
