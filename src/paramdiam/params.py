@@ -13,6 +13,22 @@ from .errors import VertexRangeError
 from .graph import Graph, require_connected
 
 
+def neighbor_masks(g: Graph) -> list[int]:
+    """Adjacency as one bitmask (int) per vertex, built afresh on each call.
+
+    Working state of :func:`_p4_scan` and of the 2-ball check in
+    ``cograph.component_diameters``.  Each mask is as wide as its vertex's
+    largest neighbour id: about n^2/16 bytes in all with random ids.
+    """
+    masks = []
+    for nbrs in g.adjacency:
+        m = 0
+        for w in nbrs:
+            m |= 1 << w
+        masks.append(m)
+    return masks
+
+
 def _p4_scan(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     """Yield induced P4s a-b-c-d, deleting each one's vertices as it goes.
 
@@ -28,7 +44,7 @@ def _p4_scan(g: Graph) -> Iterator[tuple[int, int, int, int]]:
     the hit are skipped either way, since b itself is deleted.
     O(n*m) word operations in all.
     """
-    masks = g.neighbor_masks
+    masks = neighbor_masks(g)
     alive = (1 << g.n) - 1
     for b in range(g.n):
         if not alive >> b & 1:

@@ -44,6 +44,7 @@ from paramdiam.graph import (
     _bfs_forest,
     induced_subgraph,
 )
+from paramdiam.params import neighbor_masks
 
 INF = float("inf")
 
@@ -122,7 +123,7 @@ def has_induced_p4(g: Graph) -> bool:
 
 def min_clique_modulator_size(g: Graph) -> int:
     """Smallest K with G - K a clique, by subset enumeration (small n only)."""
-    masks = g.neighbor_masks
+    masks = neighbor_masks(g)
     for size in range(g.n + 1):
         for keep_out in combinations(range(g.n), size):
             rest = [v for v in range(g.n) if v not in keep_out]
@@ -198,7 +199,7 @@ def weighted_diameter_floyd(g: Graph, pen, s: int) -> int:
 
 def find_induced_p4_restarting(g: Graph) -> tuple[int, int, int, int] | None:
     """The first induced P4 a-b-c-d over edges (b, c) in scan order."""
-    masks = g.neighbor_masks
+    masks = neighbor_masks(g)
     full = (1 << g.n) - 1
     for b in range(g.n):
         mb = masks[b]

@@ -37,7 +37,11 @@ from paramdiam.fes import (
     reduce_exhaustively,
 )
 from paramdiam.graph import induced_subgraph
-from paramdiam.params import clique_modulator_2approx, cograph_modulator
+from paramdiam.params import (
+    clique_modulator_2approx,
+    cograph_modulator,
+    neighbor_masks,
+)
 from oracles import (
     apply_rr1,
     bfs,
@@ -257,7 +261,7 @@ def test_criterion_6_sat_construction():
         if (d == 5) != is_satisfiable(formula):
             return False
         dom = set(out.witnesses["dominating_set"])
-        masks = g.neighbor_masks
+        masks = neighbor_masks(g)
         if any(
             v not in dom and not any(masks[v] >> t & 1 for t in dom)
             for v in range(g.n)
@@ -352,7 +356,7 @@ def test_criterion_8_modulator_validity():
         g = gen_connected_er(n, rng.uniform(0.1, 0.7), 1800 + seed)
         k = clique_modulator_2approx(g)
         rest = [v for v in range(g.n) if v not in k]
-        masks = g.neighbor_masks
+        masks = neighbor_masks(g)
         ok = all(
             masks[v] >> w & 1 for i, v in enumerate(rest) for w in rest[i + 1:]
         )

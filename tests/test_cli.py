@@ -3,6 +3,7 @@ import json
 import pytest
 
 import paramdiam.cli
+import paramdiam.cograph
 import paramdiam.params
 from paramdiam import from_edge_list, load_edge_list, naive_diameter, save_edge_list
 from paramdiam.constructions import (
@@ -264,18 +265,15 @@ def no_modulator_scan(monkeypatch):
 
 
 def solve_auto(capsys, path):
-    """``solve`` with the default algorithm: (exit code, report).  The graph
-    it loads has no neighbour masks afterwards."""
-    loaded = []
-
-    def load(p):
-        loaded.append(load_edge_list(p))
-        return loaded[-1]
+    """``solve`` with the default algorithm: (exit code, report).  Building
+    neighbour masks, at any name its callers look it up, fails the test."""
+    def masks(g):
+        raise AssertionError("auto built neighbour masks")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(paramdiam.cli, "load_edge_list", load)
+        for module in (paramdiam.params, paramdiam.cograph):
+            mp.setattr(module, "neighbor_masks", masks)
         code, out, _ = run(capsys, "solve", path)
-    assert loaded[0]._masks is None
     return code, json.loads(out) if out else None
 
 

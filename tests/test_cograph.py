@@ -1,7 +1,12 @@
+import math
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paramdiam.params
 from paramdiam import (
     DisconnectedGraphError,
     InvalidModulatorError,
@@ -9,9 +14,14 @@ from paramdiam import (
     naive_diameter,
     solve_cograph,
 )
-from paramdiam.cograph import build_types, component_diameters
-from paramdiam.constructions import gen_random_cograph_plus
-from paramdiam.graph import bfs_rows, connected_components
+from paramdiam.cograph import DISTANCE_CAP, component_diameters
+from paramdiam.constructions import (
+    bisection_construction,
+    gen_connected_er,
+    gen_random_cograph_plus,
+    gen_tree_plus_k,
+)
+from paramdiam.graph import bfs_rows, connected_components, fingerprint_types
 from paramdiam.params import cograph_modulator
 from test_graph import best_of_three, graphs
 
@@ -28,25 +38,25 @@ class TestComponentDiameters:
             component_diameters(g, connected_components(g))
 
 
-class TestBuildTypes:
+class TestFingerprintTypes:
     def test_groups_by_capped_fingerprint(self):
         # star center 0 as modulator; leaves share one fingerprint
         g = from_edge_list([(0, 1), (0, 2), (0, 3)], 4)
-        records = build_types(bfs_rows(g, [0]), connected_components(g, {0}))
-        assert len(records) == 1
-        assert records[0].count == 3
-        assert records[0].type == (1,)
-        # three singleton components: flagged as spread over several
-        assert records[0].component == -1
+        cols = bfs_rows(g, [0])[:, 1:].T
+        first, inverse, counts = fingerprint_types(cols)
+        assert cols[first].tolist() == [[1]]
+        assert first.tolist() == [0]
+        assert inverse.tolist() == [0, 0, 0]
+        assert counts.tolist() == [3]
 
     def test_distance_cap(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6)], 7)
-        labels = [-1] + [0] * 6
-        records = build_types(bfs_rows(g, [0]), labels)
-        vecs = sorted(r.type for r in records)
-        assert vecs == [(1,), (2,), (3,), (4,)]
-        counts = {r.type: r.count for r in records}
-        assert counts[(4,)] == 3  # distances 4, 5, 6 all capped
+        capped = np.minimum(bfs_rows(g, [0])[:, 1:], DISTANCE_CAP).T
+        first, inverse, counts = fingerprint_types(capped)
+        types = capped[first, 0].tolist()
+        assert sorted(types) == [1, 2, 3, 4]
+        assert counts[types.index(4)] == 3  # distances 4, 5, 6 all capped
+        assert (capped[first[inverse]] == capped).all()
 
 
 class TestSolve:
@@ -65,6 +75,28 @@ class TestSolve:
         g = from_edge_list([(0, 1), (1, 2), (2, 3)] + [(v, 4) for v in range(4)], 5)
         with pytest.raises(InvalidModulatorError):
             solve_cograph(g, {4})
+
+    def test_type_spread_over_components_pairs_with_itself(self):
+        # K1,3 minus its center: three leaves of one type in three
+        # components, at distance 2 from each other through the center
+        g = from_edge_list([(0, 1), (0, 2), (0, 3)], 4)
+        assert solve_cograph(g, {0}) == 2
+
+    def test_default_modulator_scans_once(self, monkeypatch):
+        """An empty default modulator already proves g P4-free."""
+        scan = paramdiam.params._p4_scan
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(paramdiam.params, "_p4_scan", counted)
+        g = gen_random_cograph_plus(60, 0, 0)
+        assert solve_cograph(g) == naive_diameter(g)
+        assert len(calls) == 1
+        solve_cograph(g, set())
+        assert len(calls) == 2
 
     def test_oversized_modulator_still_exact(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
@@ -96,6 +128,30 @@ class TestSolve:
         for seed in range(40):
             g = gen_random_cograph_plus(5 + seed % 20, seed % 4, seed)
             assert solve_cograph(g) == naive_diameter(g)
+
+
+def seeded_corpus():
+    """Graphs of a few hundred vertices from each family the solvers are
+    tested on; the trees and thm4 graphs reach diameters far past the
+    fingerprint cap."""
+    graphs = []
+    for seed in range(3):
+        graphs.append(gen_tree_plus_k(300 + 100 * seed, 5 + seed, seed))
+        n = 200 + 50 * seed
+        graphs.append(gen_connected_er(n, 1.6 * math.log(n) / n, seed))
+        graphs.append(bisection_construction(gen_tree_plus_k(80, 3, seed)).graph)
+        graphs.append(gen_random_cograph_plus(150 + 50 * seed, 3, seed))
+    return graphs
+
+
+def test_seeded_corpus_matches_naive():
+    rng = random.Random(0)
+    for g in seeded_corpus():
+        want = naive_diameter(g)
+        base = cograph_modulator(g)
+        extra = set(rng.sample(range(g.n), 3))
+        assert solve_cograph(g, base) == want
+        assert solve_cograph(g, base | extra) == want
 
 
 def test_no_slower_than_naive_on_cograph_plus():

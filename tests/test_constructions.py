@@ -25,7 +25,7 @@ from paramdiam.constructions import (
     sat_to_diameter,
 )
 from paramdiam.graph import is_connected
-from paramdiam.params import find_induced_p4
+from paramdiam.params import find_induced_p4, neighbor_masks
 from oracles import girth, is_bipartite
 from test_graph import graphs
 
@@ -138,7 +138,7 @@ class TestSatConstruction:
         g = out.graph
         dom = set(out.witnesses["dominating_set"])
         assert len(dom) == 4
-        masks = g.neighbor_masks
+        masks = neighbor_masks(g)
         for v in range(g.n):
             assert v in dom or any(masks[v] >> t & 1 for t in dom)
 

@@ -20,6 +20,7 @@ from paramdiam.params import (
     find_induced_p4,
     h_index,
     hub_set,
+    neighbor_masks,
     parameter_report,
 )
 from oracles import (
@@ -33,7 +34,7 @@ from test_graph import graphs, random_3cnf
 
 
 def is_clique(g, vertices):
-    masks = g.neighbor_masks
+    masks = neighbor_masks(g)
     vs = list(vertices)
     return all(
         masks[v] >> w & 1 for i, v in enumerate(vs) for w in vs[i + 1:]
@@ -57,7 +58,7 @@ class TestP4:
         assert (found is not None) == has_induced_p4(g)
         if found is not None:
             a, b, c, d = found
-            masks = g.neighbor_masks
+            masks = neighbor_masks(g)
             assert len({a, b, c, d}) == 4
             assert masks[a] >> b & 1 and masks[b] >> c & 1 and masks[c] >> d & 1
             assert not masks[a] >> c & 1
