@@ -3,11 +3,25 @@
 Exit codes are part of the contract so harnesses can script against them:
 0 success, 2 unparseable input, 3 disconnected graph, 4 invalid modulator,
 5 verification mismatch, 1 anything else.
+
+A ``solve`` process is mostly start-up and shut-down, so this module keeps
+both short:
+
+- Only ``graph`` and ``fes``, the two routes of ``--algo auto``, are
+  imported here.  ``params``, ``cograph``, ``hindex``, ``deletion`` and
+  ``constructions`` are imported by the subcommand or ``--algo`` branch
+  that runs them.
+- ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
+  ``paramdiam`` console script) turns off the cyclic garbage collector and
+  freezes the import heap before parsing.  The run then makes no GC pass
+  over its graph, and the collection at interpreter exit skips numpy's
+  import heap.  ``main([...])`` called in-process leaves the GC alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -17,17 +31,6 @@ import time
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .cograph import solve_cograph
-from .constructions import (
-    bipartite_girth_construction,
-    bisection_construction,
-    gen_connected_er,
-    gen_random_cograph_plus,
-    gen_tree_plus_k,
-    parse_dimacs_cnf,
-    sat_to_diameter,
-)
-from .deletion import solve_clique_modulator
 from .errors import (
     DisconnectedGraphError,
     GraphInputError,
@@ -41,13 +44,6 @@ from .graph import (
     naive_diameter,
     save_edge_list,
     solve_bounded,
-)
-from .hindex import solve_hd
-from .params import (
-    clique_modulator_2approx,
-    cograph_modulator,
-    h_index,
-    parameter_report,
 )
 
 EXIT_OK = 0
@@ -101,17 +97,28 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
     if algo == "fes":
         return solve_fes(g, trace), {"feedback_edge_number": g.m - g.n + 1}
     if algo == "cograph":
+        from .cograph import solve_cograph
+        from .params import cograph_modulator
+
         k = modulator if modulator is not None else cograph_modulator(g)
         return solve_cograph(g, k), {"cograph_modulator_size": len(k)}
     if algo == "hindex-diam":
+        from .hindex import solve_hd
+        from .params import h_index
+
         return solve_hd(g, modulator, trace), {"h_index": h_index(g)}
     if algo == "clique":
+        from .deletion import solve_clique_modulator
+        from .params import clique_modulator_2approx
+
         k = modulator if modulator is not None else clique_modulator_2approx(g)
         return solve_clique_modulator(g, k), {"clique_modulator_size": len(k)}
     raise ParamDiamError(f"unknown algorithm {algo!r}")
 
 
 def cmd_params(args) -> int:
+    from .params import parameter_report
+
     g = load_edge_list(args.input)
     print(json.dumps(parameter_report(g), indent=2))
     return EXIT_OK
@@ -158,6 +165,16 @@ def cmd_solve(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .constructions import (
+        bipartite_girth_construction,
+        bisection_construction,
+        gen_connected_er,
+        gen_random_cograph_plus,
+        gen_tree_plus_k,
+        parse_dimacs_cnf,
+        sat_to_diameter,
+    )
+
     family = args.family
     sidecar = None
     if family == "thm1":
@@ -235,6 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:  # a process entry point: the process ends after this call
+        gc.disable()
+        gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +87,7 @@ class WeightedDiameterInstance:
         return [w for w in self.graph.adjacency[v] if alive[w]]
 
     def alive_vertices(self) -> list[int]:
-        return [v for v in range(self.n) if self.alive[v]]
+        return list(compress(range(self.n), self.alive))
 
     def remove_vertex(self, v: int) -> None:
         alive, deg = self.alive, self.deg

@@ -124,9 +124,9 @@ def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
         raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))
-    nbrs = dst[np.argsort(src * n + dst)].tolist()
+    nbrs = tuple(dst[np.argsort(src * n + dst)].tolist())
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    adjacency = tuple([tuple(nbrs[i:j]) for i, j in zip([0] + ends, ends)])
+    adjacency = tuple([nbrs[i:j] for i, j in zip([0] + ends, ends)])
     return Graph(n, adjacency, len(pairs))
 
 

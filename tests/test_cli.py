@@ -1,6 +1,12 @@
+import contextlib
+import importlib.util
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
 
 import paramdiam.cli
 import paramdiam.cograph
@@ -14,8 +20,8 @@ from paramdiam.constructions import (
     gen_tree_plus_k,
     sat_to_diameter,
 )
-from paramdiam.cli import _pick_auto, main
-from test_graph import random_3cnf
+from paramdiam.cli import ALGOS, _pick_auto, main
+from test_graph import graphs, random_3cnf
 
 
 @pytest.fixture
@@ -309,3 +315,25 @@ class TestPickAuto:
         code, rep = solve_auto(capsys, path)
         assert code == 0 and rep["algo"] == "fes"
         assert rep["parameters"] == {"feedback_edge_number": 50}
+
+
+@pytest.mark.skipif(importlib.util.find_spec("networkx") is None, reason="needs networkx")
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12, connected_only=True))
+def test_every_algo_matches_networkx(g):
+    """``solve --algo a`` prints networkx's diameter for every ``a`` in ALGOS."""
+    import networkx as nx
+
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    want = nx.diameter(ref)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.el")
+        save_edge_list(g, path)
+        for algo in ALGOS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["solve", path, "--algo", algo])
+            assert code == 0, algo
+            assert json.loads(out.getvalue())["diameter"] == want, algo

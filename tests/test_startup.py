@@ -1,4 +1,4 @@
-"""What a fresh interpreter loads and sets when it imports paramdiam.
+"""What a fresh interpreter loads and sets when it imports or runs paramdiam.
 
 Each check runs in its own child process, because the test process has
 long since imported numpy and every submodule.
@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import paramdiam
+from paramdiam import from_edge_list, save_edge_list
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(paramdiam.__file__)))
 
@@ -40,6 +41,14 @@ EXPORTS = (
     "solve_cograph",
     "solve_fes",
     "solve_hd",
+)
+
+ON_DEMAND = (
+    "paramdiam.params",
+    "paramdiam.cograph",
+    "paramdiam.hindex",
+    "paramdiam.deletion",
+    "paramdiam.constructions",
 )
 
 
@@ -108,3 +117,60 @@ def test_cli_keeps_an_explicit_thread_count():
         OPENBLAS_NUM_THREADS="2",
     )
     assert out == "2"
+
+
+@pytest.fixture
+def cycle_file(tmp_path):
+    """An 8-cycle with one chord (k = 2), as an edge-list file."""
+    path = str(tmp_path / "g.el")
+    edges = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4)]
+    save_edge_list(from_edge_list(edges, 8), path)
+    return path
+
+
+def run_module(*argv):
+    """``python -m paramdiam.cli ARGV`` in a new interpreter, through runpy:
+    the exit code and the GC state it leaves, ``[code, enabled, frozen]``."""
+    return fresh(
+        "import gc, json, runpy, sys\n"
+        f"sys.argv = ['paramdiam', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('paramdiam.cli', run_name='__main__')\n"
+        "    code = 'returned'\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))"
+    )
+
+
+@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
+def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, algo):
+    out = fresh(
+        "import contextlib, gc, io, json, sys\n"
+        "from paramdiam.cli import main\n"
+        "before = [gc.isenabled(), gc.get_freeze_count()]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['solve', {cycle_file!r}, '--algo', {algo!r}])\n"
+        "print(json.dumps({'code': code, 'gc': [before,"
+        " [gc.isenabled(), gc.get_freeze_count()]],"
+        f" 'loaded': sorted(m for m in sys.modules if m in {ON_DEMAND!r})}}))"
+    )
+    assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
+def test_module_entry_point_disables_and_freezes_the_gc(cycle_file):
+    code, enabled, frozen = run_module("solve", cycle_file)
+    assert code == 0 and enabled is False and frozen > 0
+
+
+@pytest.mark.parametrize("algo", ["naive", "cograph", "hindex-diam", "clique"])
+def test_on_demand_solvers_run_in_a_new_process(cycle_file, algo):
+    assert run_module("solve", cycle_file, "--algo", algo, "--verify")[0] == 0
+
+
+def test_params_and_generate_run_in_a_new_process(cycle_file, tmp_path):
+    assert run_module("params", cycle_file)[0] == 0
+    out = str(tmp_path / "t.el")
+    assert run_module("generate", "tree-plus-k", "--n", "30", "--seed", "1", "--out", out)[0] == 0
+    assert run_module("generate", "thm4", "--input", out, "--out", out + ".thm4")[0] == 0
+    assert os.path.getsize(out + ".thm4") > 0
