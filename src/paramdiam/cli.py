@@ -8,9 +8,13 @@ A ``solve`` process is mostly start-up and shut-down, so this module keeps
 both short:
 
 - Only ``graph`` and ``fes``, the two routes of ``--algo auto``, are
-  imported here.  ``params``, ``cograph``, ``hindex``, ``deletion`` and
-  ``constructions`` are imported by the subcommand or ``--algo`` branch
-  that runs them.
+  imported here, and neither imports numpy at module level.  ``params``,
+  ``cograph``, ``hindex``, ``deletion`` and ``constructions`` are imported
+  by the subcommand or ``--algo`` branch that runs them.
+- numpy loads only when a step needs it: an edge list of at least
+  ``graph.LIST_PARSE_MAX_EDGES`` edges, fes's case sweeps when its core
+  bounds do not settle, or an on-demand solver.  ``solve`` on a smaller
+  input by ``auto``, ``fes`` or ``bounded`` usually runs without it.
 - ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
   ``paramdiam`` console script) turns off the cyclic garbage collector and
   freezes the import heap before parsing.  The run then makes no GC pass
@@ -27,7 +31,7 @@ import os
 import sys
 import time
 
-# Set before numpy loads: no solver makes a BLAS call, so skip OpenBLAS's thread pool.
+# Set before numpy can load: no solver makes a BLAS call, so skip OpenBLAS's thread pool.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__

@@ -12,7 +12,7 @@ the core instead, reusing the distance rows of the high sources already
 searched, so a call never makes more than two passes per high vertex:
 
 1. pairs touching a high vertex, from one BFS per high vertex, kept as the
-   rows of an int32 matrix (high x core vertices);
+   rows of an int32 numpy matrix (high x core vertices);
 2. pairs inside one path, by an O(length) cyclic sweep per path;
 3. pairs in two different paths, by one sweep per path over the interiors
    of all later paths at once: an interior is reached only through its own
@@ -30,6 +30,9 @@ Connectivity is decided on the core, not on the input: neither rule
 changes the number of components, and each leaves every component at least
 one alive vertex, so one alive vertex means a connected input, and
 otherwise the input is connected exactly when the compacted core is.
+
+Up to the core bounds everything runs on Python lists.  numpy is imported
+only by cases 1 and 3, so a run whose bounds settle never loads it.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Sequence
-
-import numpy as np
+from operator import add
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
 from .graph import (
@@ -51,6 +53,9 @@ from .graph import (
     induced_subgraph,
     is_connected,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WeightedDiameterInstance:
@@ -330,7 +335,7 @@ def case1_high_bfs(
     g: Graph,
     pen: Sequence[int],
     dec: PathCycleDecomposition,
-    known: dict[int, np.ndarray] | None = None,
+    known: dict[int, Sequence[int]] | None = None,
 ) -> tuple[int, np.ndarray]:
     """BFS per high vertex; best pen-weighted distance touching one, plus rows.
 
@@ -338,6 +343,8 @@ def case1_high_bfs(
     ``dec.high[r]`` to every vertex of ``g``.  A high vertex with a row in
     ``known`` is not searched again; its row is moved out of ``known``.
     """
+    import numpy as np
+
     known = {} if known is None else known
     rows = np.empty((len(dec.high), g.n), dtype=np.int32)
     for r, v in enumerate(dec.high):
@@ -371,7 +378,7 @@ def case2_same_path(pens: Sequence[int], endpoint_distance: int) -> int | None:
     )
 
 
-_NEG = np.iinfo(np.int64).min // 4  # below any real candidate, safe to add to
+_NEG = -(2**63) // 4  # below any real candidate, safe to add to in int64
 
 
 def _path_sweep(pens: np.ndarray, f: np.ndarray, g: np.ndarray, w: np.ndarray) -> int:
@@ -385,6 +392,8 @@ def _path_sweep(pens: np.ndarray, f: np.ndarray, g: np.ndarray, w: np.ndarray) -
     i into a via-x_0 suffix and a via-x_a prefix, each answered by a running
     maximum.  Needs at least one interior and one target.
     """
+    import numpy as np
+
     a = len(pens) + 1
     t = g - f
     order = np.argsort(t)
@@ -411,6 +420,8 @@ def case3_all_paths(
     path's own interiors, which case 2 handles, never enter.  0 when fewer
     than two paths have interiors.
     """
+    import numpy as np
+
     paths = [p for p in paths if len(p) >= 3]
     interior = np.fromiter((v for p in paths for v in p[1:-1]), dtype=np.int64)
     pen_arr = np.asarray(pen, dtype=np.int64)
@@ -448,12 +459,12 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
         raise DisconnectedGraphError("graph is not connected")
     dec = decompose(red)
     assert not dec.cycles, "pending cycles must not survive reduction"
-    high = np.zeros(red.n, dtype=bool)
-    high[dec.high] = True
-    pen_arr = np.asarray(pen, dtype=np.int64)
-    lower, upper, passes, known = bounding_diameters(red, pen_arr, high, len(dec.high))
-    best = int((pen_arr + lower).max())
-    settled = best == int((pen_arr + upper).max())
+    high = [False] * red.n
+    for v in dec.high:
+        high[v] = True
+    lower, upper, passes, known = bounding_diameters(red, pen, high, len(dec.high))
+    best = max(map(add, pen, lower))
+    settled = best == max(map(add, pen, upper))
     if trace is not None:
         trace({
             "phase": "core-bounds",

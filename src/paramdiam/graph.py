@@ -1,8 +1,9 @@
 """Immutable simple-graph substrate and BFS-based primitives.
 
 Graphs are undirected, unweighted, simple, with vertices 0..n-1.
-Distances are plain Python integers, or int32 in the tables of
-:func:`bfs_rows`; ``UNREACHABLE`` (-1) marks vertices in other components.
+Distances are plain Python integers in lists, or int32 in the numpy tables
+of :func:`bfs_rows`; ``UNREACHABLE`` (-1) marks vertices in other
+components.
 A :class:`Graph` holds only its adjacency, with no cache beside it, and
 never changes after construction, so it can be shared freely between
 threads.
@@ -19,15 +20,26 @@ and the reference oracle for every other solver, and :func:`solve_bounded`,
 which needs no structural parameter and prunes BFS sources with
 eccentricity bounds.  Its loop, :func:`bounding_diameters`, takes vertex
 weights, so it also bounds the weighted core that ``solve_fes`` reduces to.
+It runs on Python lists, with C-level ``map``, ``min`` and ``max`` over the
+candidates and updates written only where a bound moves.
+
+numpy is imported only by the functions that need it: :func:`bfs_rows`,
+:func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
+lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
+parsed into lists, so ``solve`` on it, by ``naive``, ``bounded`` or a
+``fes`` run whose core bounds settle, never loads numpy.
 """
 
 from __future__ import annotations
 
 import io
+import re
 import warnings
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from bisect import bisect_left
+from collections import deque
+from itertools import compress, count, repeat
+from operator import add, eq, gt, lt, mul, not_, sub
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -37,6 +49,9 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 UNREACHABLE = -1
 MAX_VERTICES = 2**31 - 1  # int32 distance tables; lo * n + hi fits in int64
@@ -82,6 +97,8 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     self-loops and duplicate (including symmetric) edges with distinct error
     types; the error names the first faulty edge in input order.
     """
+    import numpy as np
+
     try:
         pairs = np.array(list(edges), dtype=np.int64)
     except OverflowError as exc:
@@ -101,10 +118,9 @@ def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
     key lo * n + hi an earlier edge already has, found by a stable sort of
     the keys.  The adjacency comes from one sort of both edge directions.
     """
-    if n < 0:
-        raise VertexRangeError(f"negative vertex count {n}")
-    if n > MAX_VERTICES:
-        raise VertexRangeError(f"vertex count {n} above {MAX_VERTICES}")
+    import numpy as np
+
+    _check_vertex_count(n)
     u, v = pairs[:, 0], pairs[:, 1]
     out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
     key = np.where(
@@ -128,6 +144,48 @@ def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
     ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
     adjacency = tuple([nbrs[i:j] for i, j in zip([0] + ends, ends)])
     return Graph(n, adjacency, len(pairs))
+
+
+def _check_vertex_count(n: int) -> None:
+    if n < 0:
+        raise VertexRangeError(f"negative vertex count {n}")
+    if n > MAX_VERTICES:
+        raise VertexRangeError(f"vertex count {n} above {MAX_VERTICES}")
+
+
+def _from_lists(us: list[int], vs: list[int], n: int) -> Graph:
+    """The validated Graph on vertices 0..n-1 with the edges (us[i], vs[i]).
+
+    The same checks and errors as :func:`_from_pairs`, without numpy: C-level
+    scans find whether any edge is faulty, and only then does a per-edge
+    walk name the first one.  An unordered pair {u, v} is identified by
+    (u * v, u + v).
+    """
+    _check_vertex_count(n)
+    if us and (
+        min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
+        or any(map(eq, us, vs))
+        or len(set(zip(map(mul, us, vs), map(add, us, vs)))) < len(us)
+    ):
+        _raise_first_faulty_edge(us, vs, n)
+    adjacency = [[] for _ in range(n)]
+    for ends, others in ((us, vs), (vs, us)):
+        deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
+    deque(map(list.sort, adjacency), maxlen=0)
+    return Graph(n, tuple(map(tuple, adjacency)), len(us))
+
+
+def _raise_first_faulty_edge(us: list[int], vs: list[int], n: int) -> None:
+    seen: set[tuple[int, int]] = set()
+    for u, v in zip(us, vs):
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+        seen.add(pair)
 
 
 def _bfs(
@@ -172,6 +230,8 @@ def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     UNREACHABLE entries are kept; each caller decides whether they are an
     error.
     """
+    import numpy as np
+
     rows = np.empty((len(sources), g.n), dtype=np.int32)
     for r, source in enumerate(sources):
         if not (0 <= source < g.n):
@@ -188,6 +248,8 @@ def fingerprint_types(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     for each row the index of its type.  Types come in an order fixed by
     the bytes of each fingerprint, not in numeric order.
     """
+    import numpy as np
+
     # one opaque key per fingerprint: a 1-d np.unique over the keys is about
     # 15x faster than np.unique(axis=0), which compares rows field by field
     cols = np.ascontiguousarray(cols)
@@ -230,10 +292,10 @@ def naive_diameter(g: Graph) -> int:
 
 def bounding_diameters(
     g: Graph,
-    pen: np.ndarray,
-    pool: np.ndarray | None = None,
+    pen: Sequence[int],
+    pool: Sequence[bool] | None = None,
     budget: int | None = None,
-) -> tuple[np.ndarray, np.ndarray, int, dict[int, np.ndarray]]:
+) -> tuple[list[int], list[int], int, dict[int, list[int]]]:
     """BoundingDiameters (Takes & Kosters, CIKM 2011) for a pen-weighted diameter.
 
     D = max over v != w of pen[v] + d(v, w) + pen[w] on a connected g, so D
@@ -249,52 +311,127 @@ def bounding_diameters(
     no candidate is left.  Sources alternate between the candidate of
     largest pen + upper bound and the one of smallest lower bound, the
     higher degree winning ties, and come from the candidates in the boolean
-    mask ``pool`` while any is left.  The int32 distance row of each pool
-    source searched is kept.  With no ``pool`` and pen = 0 this is plain
+    mask ``pool`` while any is left.  The distance row of each pool source
+    searched is kept.  With no ``pool`` and pen = 0 this is plain
     BoundingDiameters, and a vertex-transitive graph takes n passes.
 
     Stops after ``budget`` BFS passes at the latest.  Returns (lower,
-    upper, passes, rows): the int64 arrays of bounds on every e(v), the
-    BFS passes made and the kept rows by source.  The largest pen + lower
-    and pen + upper bound D, and are equal unless the budget ran out.
+    upper, passes, rows): the bounds on every e(v), the BFS passes made and
+    the kept rows by source, all lists.  The largest pen + lower and
+    pen + upper bound D, and are equal unless the budget ran out.  A bound
+    is kept as it stood when its vertex left the candidates; it stays valid.
     """
     n = g.n
     adjacency = g.adjacency
-    degree = np.fromiter(map(len, adjacency), dtype=np.int64, count=n)
-    lower = np.zeros(n, dtype=np.int64)
-    upper = np.full(n, n + int(pen.max()), dtype=np.int64)  # above every e(v)
-    cand = np.arange(n)
-    rows: dict[int, np.ndarray] = {}
+    top = max(pen, default=0)
+    # The candidates, ascending, and columns aligned with them: pen, the
+    # tie-break key, the bounds on e(v), pen + upper bound, and the source
+    # scores of the two kinds of pass.
+    cand = list(range(n))
+    c_pen = list(pen)
+    key = list(map(len, adjacency))
+    if pool is not None:
+        # above every score: a pool candidate wins both kinds of pass
+        bonus = (n + 2 * top + 1) * n
+        key = [k + bonus if p else k for k, p in zip(key, pool)]
+    low = [0] * n
+    up = [n + top] * n  # above every e(v)
+    pu = list(map(add, c_pen, up))
+    hi = list(map(add, map(mul, pu, repeat(n)), key))  # largest pen + upper first
+    lo = list(map(sub, map(mul, low, repeat(n)), key))  # smallest lower first
+    lower = [0] * n
+    upper = [0] * n
+    rows: dict[int, list[int]] = {}
     best = passes = 0
-    while cand.size and passes != budget:
-        pick = cand
-        if pool is not None and pool[cand].any():
-            pick = cand[pool[cand]]
-        if passes % 2:
-            source = int(pick[np.argmin(lower[pick] * n - degree[pick])])
-        else:
-            source = int(pick[np.argmax((pen[pick] + upper[pick]) * n + degree[pick])])
+    while cand and passes != budget:
+        i = lo.index(min(lo)) if passes % 2 else hi.index(max(hi))
+        source = cand[i]
         dist = [UNREACHABLE] * n
-        if len(_bfs(adjacency, source, dist)) < n:
+        order = _bfs(adjacency, source, dist)
+        if len(order) < n:
             raise DisconnectedGraphError("graph is not connected")
         passes += 1
-        d = np.array(dist, dtype=np.int32)
         if pool is not None and pool[source]:
-            rows[source] = d
-        reach = d + pen
-        reach[source] = 0  # below every other entry, and e = 0 when n = 1
-        far = int(reach.argmax())
-        ecc = int(reach[far])
-        reach[far] = 0
-        low = np.maximum(d + pen[source], ecc - d)
-        low[far] = max(d[far] + pen[source], reach.max() - d[far])
-        up = d + max(ecc, int(pen[source]))
-        low[source] = up[source] = ecc
-        np.maximum(lower, low, out=lower)
-        np.minimum(upper, up, out=upper)
-        best = int((pen + lower).max())
-        cand = cand[pen[cand] + upper[cand] > best]
+            rows[source] = dist
+        ps = pen[source]
+        ecc, far, second = _farthest(order, dist, pen, top)
+        # this pass's lower bound at distance x from the source
+        low_at = list(map(max, range(ps, ps + ecc + 1), range(ecc, -1, -1)))
+        up_plus = max(ecc, ps)
+        d = list(map(dist.__getitem__, cand))
+        j = bisect_left(cand, far)
+        far_low = None
+        if j < len(cand) and cand[j] == far:
+            far_low = max(low[j], dist[far] + ps, second - dist[far])
+        # write only where a bound moves; in the long passes over graphs
+        # that prune little, few do
+        rise = list(compress(count(), map(gt, map(low_at.__getitem__, d), low)))
+        _put(low, rise, map(low_at.__getitem__, map(d.__getitem__, rise)))
+        fall = list(compress(count(), map(lt, map(add, d, repeat(up_plus)), up)))
+        _put(up, fall, map(add, map(d.__getitem__, fall), repeat(up_plus)))
+        _put(pu, fall, map(add, map(c_pen.__getitem__, fall), map(up.__getitem__, fall)))
+        _put(hi, fall, map(add, map(mul, map(pu.__getitem__, fall), repeat(n)),
+                           map(key.__getitem__, fall)))
+        if far_low is not None:
+            low[j] = far_low
+            rise.append(j)
+        _put(lo, rise, map(sub, map(mul, map(low.__getitem__, rise), repeat(n)),
+                           map(key.__getitem__, rise)))
+        low[i] = up[i] = ecc
+        best = max(
+            best,
+            ps + ecc,
+            max(map(add, map(c_pen.__getitem__, rise), map(low.__getitem__, rise)), default=0),
+        )
+        # the source leaves: pen + its upper bound ecc is at most best
+        lower[source] = upper[source] = ecc
+        for column in (cand, c_pen, key, low, up, pu, hi, lo):
+            del column[i]
+        if pu and min(pu) <= best:
+            keep = list(map(gt, pu, repeat(best)))
+            gone = list(map(not_, keep))
+            _put(lower, compress(cand, gone), compress(low, gone))
+            _put(upper, compress(cand, gone), compress(up, gone))
+            cand, c_pen, key, low, up, pu, hi, lo = (
+                list(compress(column, keep))
+                for column in (cand, c_pen, key, low, up, pu, hi, lo)
+            )
+    _put(lower, cand, low)
+    _put(upper, cand, up)
     return lower, upper, passes, rows
+
+
+def _put(target: list, at: Iterable[int], values: Iterable) -> None:
+    """``target[i] = value`` for each index i of ``at`` and value of ``values``, at C speed."""
+    deque(map(target.__setitem__, at, values), maxlen=0)
+
+
+def _farthest(
+    order: list[int], dist: list[int], pen: Sequence[int], top: int
+) -> tuple[int, int, int]:
+    """(ecc, far, second) for the BFS from order[0] that set ``dist``.
+
+    ecc is the largest dist + pen over the other vertices, far the smallest
+    vertex reaching it, and second the largest over the rest but far: 0,
+    the source and 0 on a lone vertex.  Only the tail of ``order`` from
+    level last - top on is read, last being the deepest level and top the
+    largest pen: a vertex above it reaches at most last - 1, less than any
+    vertex on the last level and no more than one on the level before.  So
+    ecc and far are exact, and so is second when top > 0.  When top = 0 it
+    can miss only if far is alone on the last level, and then second - d(far)
+    is below the other lower bound on far, d(far) + pen[source].
+    """
+    last = dist[order[-1]]
+    tail = order[max(1, bisect_left(order, last - top, key=dist.__getitem__)):]
+    if not tail:
+        return 0, order[0], 0
+    if not top:  # the tail is the last level, every vertex on it reaching last
+        return last, min(tail), last if len(tail) > 1 else 0
+    reach = list(map(add, map(dist.__getitem__, tail), map(pen.__getitem__, tail)))
+    ecc = max(reach)
+    far = min(compress(tail, map(eq, reach, repeat(ecc))))
+    reach[tail.index(far)] = 0
+    return ecc, far, max(reach)
 
 
 def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
@@ -305,10 +442,10 @@ def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    lower, upper, passes, _ = bounding_diameters(g, np.zeros(g.n, dtype=np.int64))
-    best = int(lower.max())
+    lower, upper, passes, _ = bounding_diameters(g, [0] * g.n)
+    best = max(lower)
     if trace is not None:
-        trace({"passes": passes, "lower": best, "upper": int(upper.max())})
+        trace({"passes": passes, "lower": best, "upper": max(upper)})
     return best
 
 
@@ -369,6 +506,22 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
 # ---------------------------------------------------------------------------
 # Edge-list text interchange: '#' comments, "n m" header, then m "u v" lines.
 
+# Texts whose header declares at least this many edges are parsed with
+# numpy, smaller ones into lists, which saves importing numpy (60-85 ms and
+# 13 MB in a fresh process) but costs more per edge.  Measured as
+# spawn-to-exit medians of 15 alternating `paramdiam solve --algo fes`
+# processes per size, on trees plus 50 edges with a shared 2-CPU machine,
+# lists minus numpy: -38 ms at 30k edges, -21 ms at 40k, +15 ms at 50k,
+# +31 ms at 60k and +64 ms at 80k.
+LIST_PARSE_MAX_EDGES = 45_000
+
+# The header row: a first "n m" after blank and comment lines.  Only its m
+# is read, to pick the parser; either parser checks the whole text.
+_HEADER = re.compile(r"\s*(?:#[^\r\n]*\s*)*[+-]?[0-9]+[^\S\r\n]+([+-]?[0-9]+)")
+_COMMENT = re.compile(r"#[^\r\n]*")
+_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_edge_list(text: str) -> Graph:
     r"""Parse edge-list text into a validated Graph.
 
@@ -378,7 +531,49 @@ def parse_edge_list(text: str) -> Graph:
     and ``\n``, ``\r\n`` and ``\r`` all end a line.  Anything else, such as
     ``1.0``, ``0x1`` or ``1_000``, raises :class:`EdgeListParseError`;
     an invalid graph raises what :func:`from_edge_list` raises.
+
+    A header declaring fewer than ``LIST_PARSE_MAX_EDGES`` edges is parsed
+    without numpy.
     """
+    header = _HEADER.match(text)
+    if header is not None and int(header[1][:20]) >= LIST_PARSE_MAX_EDGES:
+        return _parse_with_numpy(text)
+    return _parse_with_lists(text)
+
+
+def _parse_with_lists(text: str) -> Graph:
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    tokens = text.split()
+    if not tokens:
+        raise EdgeListParseError("empty input")
+    # fields per non-blank line, without keeping a list per line alive
+    widths = set(map(len, map(str.split, text.split("\n")))) - {0}
+    if widths != {2}:
+        raise EdgeListParseError("malformed edge list: every row needs two fields")
+    # int() also takes '_' between digits and non-ASCII digits; the token
+    # pattern is checked only when the text holds either
+    if not (text.isascii() and "_" not in text) and not all(map(_TOKEN.fullmatch, tokens)):
+        raise EdgeListParseError("malformed edge list: a token is no decimal integer")
+    try:
+        values = list(map(int, tokens))
+    except ValueError as exc:
+        raise EdgeListParseError(f"malformed edge list: {exc}") from None
+    if min(values) < -(2**63) or max(values) >= 2**63:
+        raise EdgeListParseError("malformed edge list: a value outside int64")
+    n, m = values[0], values[1]
+    if len(values) // 2 - 1 != m:
+        raise EdgeListParseError(
+            f"header declares {m} edges but {len(values) // 2 - 1} edge lines found"
+        )
+    return _from_lists(values[2::2], values[3::2], n)
+
+
+def _parse_with_numpy(text: str) -> Graph:
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"

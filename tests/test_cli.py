@@ -7,11 +7,18 @@ import tempfile
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paramdiam.cli
 import paramdiam.cograph
 import paramdiam.params
-from paramdiam import from_edge_list, load_edge_list, naive_diameter, save_edge_list
+from paramdiam import (
+    from_edge_list,
+    load_edge_list,
+    naive_diameter,
+    save_edge_list,
+    solve_bounded,
+)
 from paramdiam.constructions import (
     bipartite_girth_construction,
     bisection_construction,
@@ -337,3 +344,44 @@ def test_every_algo_matches_networkx(g):
                 code = main(["solve", path, "--algo", algo])
             assert code == 0, algo
             assert json.loads(out.getvalue())["diameter"] == want, algo
+
+
+@st.composite
+def family_instances(draw):
+    """A seeded instance of one of the six families the benchmark's
+    auto-mixed workload solves, at small sizes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    family = draw(st.sampled_from(["tree-plus-k", "er", "cograph-plus", "thm1", "thm4", "thm6"]))
+    if family == "thm6":
+        num_vars = draw(st.integers(3, 6))
+        return sat_to_diameter(random_3cnf(num_vars, draw(st.integers(1, 12)), seed)).graph
+    n = draw(st.integers(1, 14 if family in ("thm1", "thm4") else 40))
+    if family == "cograph-plus":
+        return gen_random_cograph_plus(n, draw(st.integers(0, 4)), seed)
+    if family in ("er", "thm1"):
+        g = gen_connected_er(n, draw(st.floats(0.25, 0.8)), seed)
+        return g if family == "er" else bipartite_girth_construction(g).graph
+    g = gen_tree_plus_k(n, draw(st.integers(0, min(6, (n - 1) * (n - 2) // 2))), seed)
+    return g if family == "tree-plus-k" else bisection_construction(g).graph
+
+
+@pytest.mark.skipif(importlib.util.find_spec("networkx") is None, reason="needs networkx")
+@settings(max_examples=120, deadline=None)
+@given(family_instances())
+def test_generated_families_match_networkx(g):
+    """``solve --algo auto`` and ``solve_bounded`` print networkx's diameter
+    on the generator families and constructions."""
+    import networkx as nx
+
+    ref = nx.Graph()
+    ref.add_nodes_from(range(g.n))
+    ref.add_edges_from(g.edges())
+    want = nx.diameter(ref)
+    assert solve_bounded(g) == want
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.el")
+        save_edge_list(g, path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["solve", path, "--algo", "auto"]) == 0
+    assert json.loads(out.getvalue())["diameter"] == want

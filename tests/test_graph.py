@@ -36,6 +36,9 @@ from paramdiam.constructions import (
 from paramdiam.graph import (
     UNREACHABLE,
     _bfs,
+    _from_lists,
+    _parse_with_lists,
+    _parse_with_numpy,
     bfs_rows,
     connected_components,
     eccentricity,
@@ -53,6 +56,11 @@ from oracles import (
     is_bipartite,
     parse_edge_list_reference,
 )
+
+
+# the two edge-list parsers behind parse_edge_list, which picks one by the
+# header's edge count; both implement one grammar
+PARSERS = (_parse_with_lists, _parse_with_numpy)
 
 
 def graphs(max_n=12, connected_only=False):
@@ -123,14 +131,20 @@ class TestConstruction:
             from_edge_list([(1, 1), (0, 5)], 3)
         with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
             from_edge_list([(0, 1), (1, 0), (2, 2)], 3)
+        for parse in PARSERS:
+            with pytest.raises(SelfLoopError):
+                parse("3 2\n1 1\n0 5\n")
+            with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
+                parse("3 3\n0 1\n1 0\n2 2\n")
 
     def test_rejects_vertex_count_above_int32(self):
         tracemalloc.start()
         try:
             with pytest.raises(VertexRangeError):
                 from_edge_list([], 3_000_000_000)
-            with pytest.raises(VertexRangeError):
-                parse_edge_list("3000000000 0\n")
+            for parse in PARSERS:
+                with pytest.raises(VertexRangeError):
+                    parse("3000000000 0\n")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -147,15 +161,17 @@ class TestConstruction:
     )
     def test_matches_per_edge_reference(self, case):
         edges, n = case
-        try:
-            want = edge_list_reference(edges, n)
-        except GraphInputError as exc:
-            with pytest.raises(type(exc)) as got:
-                from_edge_list(edges, n)
-            assert str(got.value) == str(exc)
-        else:
-            g = from_edge_list(edges, n)
-            assert (g.adjacency, g.m, g.n) == (*want, n)
+        us, vs = [u for u, _ in edges], [v for _, v in edges]
+        for build in (lambda: from_edge_list(edges, n), lambda: _from_lists(us, vs, n)):
+            try:
+                want = edge_list_reference(edges, n)
+            except GraphInputError as exc:
+                with pytest.raises(type(exc)) as got:
+                    build()
+                assert str(got.value) == str(exc)
+            else:
+                g = build()
+                assert (g.adjacency, g.m, g.n) == (*want, n)
 
 
 class TestBfsAndDiameter:
@@ -497,8 +513,9 @@ class TestEdgeListFormat:
         ],
     )
     def test_parse_errors(self, text):
-        with pytest.raises(EdgeListParseError):
-            parse_edge_list(text)
+        for parse in (parse_edge_list, *PARSERS):
+            with pytest.raises(EdgeListParseError):
+                parse(text)
 
     @settings(max_examples=80, deadline=None)
     @given(graphs())
@@ -508,13 +525,15 @@ class TestEdgeListFormat:
         assert sorted(again.edges()) == sorted(g.edges())
 
     def test_trailing_comments_signs_and_line_ends(self):
-        g = parse_edge_list("3 2 # n m\r0 +2 # an edge\r\n\t-0\t1\n")
-        assert g.adjacency == ((1, 2), (0,), (0,))
+        for parse in (parse_edge_list, *PARSERS):
+            g = parse("3 2 # n m\r0 +2 # an edge\r\n\t-0\t1\n")
+            assert g.adjacency == ((1, 2), (0,), (0,))
 
     @pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "1e1", "+-1", "9" * 20])
     def test_rejects_non_decimal_ids(self, token):
-        with pytest.raises(EdgeListParseError):
-            parse_edge_list(f"11 1\n0 {token}\n")
+        for parse in (parse_edge_list, *PARSERS):
+            with pytest.raises(EdgeListParseError):
+                parse(f"11 1\n0 {token}\n")
 
     def test_rejects_ids_numpy_reads_via_float(self, monkeypatch):
         # numpy 1.23 to 2.x parse "1.5" as int64 1 and only emit a
@@ -527,7 +546,7 @@ class TestEdgeListFormat:
 
         monkeypatch.setattr(np, "loadtxt", via_float)
         with pytest.raises(EdgeListParseError):
-            parse_edge_list("3 1\n0 1.5\n")
+            _parse_with_numpy("3 1\n0 1.5\n")
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
@@ -536,13 +555,14 @@ class TestEdgeListFormat:
             want = parse_edge_list_reference(text)
         except GraphInputError as exc:
             want = type(exc)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                g = parse_edge_list(text)
-            except GraphInputError as exc:
-                assert type(exc) is want
-            else:
-                assert isinstance(g, Graph)
-                assert (g.adjacency, g.m) == want
-        assert caught == []
+        for parse in PARSERS:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    g = parse(text)
+                except GraphInputError as exc:
+                    assert type(exc) is want
+                else:
+                    assert isinstance(g, Graph)
+                    assert (g.adjacency, g.m) == want
+            assert caught == []

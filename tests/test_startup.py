@@ -13,6 +13,8 @@ import pytest
 
 import paramdiam
 from paramdiam import from_edge_list, save_edge_list
+from paramdiam.constructions import gen_tree_plus_k
+from paramdiam.graph import LIST_PARSE_MAX_EDGES
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(paramdiam.__file__)))
 
@@ -72,10 +74,11 @@ def fresh(code: str, **env_overrides):
 def test_import_loads_no_numpy():
     loaded = fresh(
         "import json, sys, paramdiam\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'numpy' or m.startswith('paramdiam'))))"
+        "root = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('paramdiam'))\n"
+        "import paramdiam.cli\n"
+        "print(json.dumps([root, 'numpy' in sys.modules]))"
     )
-    assert loaded == ["paramdiam"]
+    assert loaded == [["paramdiam"], False]
 
 
 def test_every_export_resolves():
@@ -102,8 +105,11 @@ def test_every_export_resolves():
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_pins_blas_to_one_thread():
+    # paramdiam.cli loads no numpy; a solve that needs it loads it later,
+    # as this does
     out = fresh(
         "import json, os, paramdiam.cli\n"
+        "import numpy\n"
         "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'),"
         " len(os.listdir('/proc/self/task'))]))"
     )
@@ -128,6 +134,14 @@ def cycle_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def settling_file(tmp_path):
+    """A tree plus 3 edges whose fes core bounds settle, so no case runs."""
+    path = str(tmp_path / "t.el")
+    save_edge_list(gen_tree_plus_k(40, 3, 1), path)
+    return path
+
+
 def run_module(*argv):
     """``python -m paramdiam.cli ARGV`` in a new interpreter, through runpy:
     the exit code and the GC state it leaves, ``[code, enabled, frozen]``."""
@@ -144,18 +158,41 @@ def run_module(*argv):
 
 
 @pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
-def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, algo):
+def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(settling_file, algo):
+    # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
+    # is not needed either
     out = fresh(
         "import contextlib, gc, io, json, sys\n"
         "from paramdiam.cli import main\n"
         "before = [gc.isenabled(), gc.get_freeze_count()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['solve', {cycle_file!r}, '--algo', {algo!r}])\n"
+        f"    code = main(['solve', {settling_file!r}, '--algo', {algo!r}])\n"
         "print(json.dumps({'code': code, 'gc': [before,"
         " [gc.isenabled(), gc.get_freeze_count()]],"
-        f" 'loaded': sorted(m for m in sys.modules if m in {ON_DEMAND!r})}}))"
+        f" 'loaded': sorted(m for m in sys.modules if m in {ON_DEMAND + ('numpy',)!r})}}))"
     )
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
+def test_solve_above_the_list_parse_cutoff_loads_numpy_and_agrees(tmp_path):
+    path = str(tmp_path / "big.el")
+    save_edge_list(gen_tree_plus_k(LIST_PARSE_MAX_EDGES - 2, 3, 5), path)  # m = cutoff
+    out = fresh(
+        "import contextlib, io, json, sys\n"
+        "from paramdiam.cli import main\n"
+        "from paramdiam.fes import solve_fes\n"
+        "from paramdiam.graph import _parse_with_lists, load_edge_list\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as report:\n"
+        f"    code = main(['solve', {path!r}, '--algo', 'fes'])\n"
+        "numpy_loaded = 'numpy' in sys.modules\n"
+        f"listed = _parse_with_lists(open({path!r}).read())\n"
+        f"same_graph = load_edge_list({path!r}).adjacency == listed.adjacency\n"
+        "print(json.dumps([code, numpy_loaded, same_graph,"
+        " json.loads(report.getvalue())['diameter'], solve_fes(listed)]))"
+    )
+    code, numpy_loaded, same_graph, diameter, listed_diameter = out
+    assert code == 0 and numpy_loaded and same_graph
+    assert diameter == listed_diameter
 
 
 def test_module_entry_point_disables_and_freezes_the_gc(cycle_file):
