@@ -17,9 +17,10 @@ both short:
   input by ``auto``, ``fes`` or ``bounded`` usually runs without it.
 - ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
   ``paramdiam`` console script) turns off the cyclic garbage collector and
-  freezes the import heap before parsing.  The run then makes no GC pass
-  over its graph, and the collection at interpreter exit skips numpy's
-  import heap.  ``main([...])`` called in-process leaves the GC alone.
+  freezes the import heap before parsing, and again when the run ends.
+  The run then makes no GC pass over its graph, and the collection at
+  interpreter exit skips every module loaded, numpy included when a step
+  loaded it.  ``main([...])`` called in-process leaves the GC alone.
 """
 
 from __future__ import annotations
@@ -274,6 +275,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParamDiamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if argv is None:  # numpy may have loaded since; keep it out of the exit collection
+            gc.freeze()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -347,14 +347,16 @@ def bounding_diameters(
         i = lo.index(min(lo)) if passes % 2 else hi.index(max(hi))
         source = cand[i]
         dist = [UNREACHABLE] * n
-        order = _bfs(adjacency, source, dist)
-        if len(order) < n:
+        if len(_bfs(adjacency, source, dist)) < n:
             raise DisconnectedGraphError("graph is not connected")
         passes += 1
         if pool is not None and pool[source]:
             rows[source] = dist
         ps = pen[source]
-        ecc, far, second = _farthest(order, dist, pen, top)
+        reach = list(map(add, dist, pen))
+        reach[source] = 0  # below every other entry, and e = 0 when n = 1
+        ecc = max(reach)
+        far = reach.index(ecc)
         # this pass's lower bound at distance x from the source
         low_at = list(map(max, range(ps, ps + ecc + 1), range(ecc, -1, -1)))
         up_plus = max(ecc, ps)
@@ -362,7 +364,8 @@ def bounding_diameters(
         j = bisect_left(cand, far)
         far_low = None
         if j < len(cand) and cand[j] == far:
-            far_low = max(low[j], dist[far] + ps, second - dist[far])
+            reach[far] = 0  # far cannot count itself: the second farthest
+            far_low = max(low[j], dist[far] + ps, max(reach) - dist[far])
         # write only where a bound moves; in the long passes over graphs
         # that prune little, few do
         rise = list(compress(count(), map(gt, map(low_at.__getitem__, d), low)))
@@ -404,34 +407,6 @@ def bounding_diameters(
 def _put(target: list, at: Iterable[int], values: Iterable) -> None:
     """``target[i] = value`` for each index i of ``at`` and value of ``values``, at C speed."""
     deque(map(target.__setitem__, at, values), maxlen=0)
-
-
-def _farthest(
-    order: list[int], dist: list[int], pen: Sequence[int], top: int
-) -> tuple[int, int, int]:
-    """(ecc, far, second) for the BFS from order[0] that set ``dist``.
-
-    ecc is the largest dist + pen over the other vertices, far the smallest
-    vertex reaching it, and second the largest over the rest but far: 0,
-    the source and 0 on a lone vertex.  Only the tail of ``order`` from
-    level last - top on is read, last being the deepest level and top the
-    largest pen: a vertex above it reaches at most last - 1, less than any
-    vertex on the last level and no more than one on the level before.  So
-    ecc and far are exact, and so is second when top > 0.  When top = 0 it
-    can miss only if far is alone on the last level, and then second - d(far)
-    is below the other lower bound on far, d(far) + pen[source].
-    """
-    last = dist[order[-1]]
-    tail = order[max(1, bisect_left(order, last - top, key=dist.__getitem__)):]
-    if not tail:
-        return 0, order[0], 0
-    if not top:  # the tail is the last level, every vertex on it reaching last
-        return last, min(tail), last if len(tail) > 1 else 0
-    reach = list(map(add, map(dist.__getitem__, tail), map(pen.__getitem__, tail)))
-    ecc = max(reach)
-    far = min(compress(tail, map(eq, reach, repeat(ecc))))
-    reach[tail.index(far)] = 0
-    return ecc, far, max(reach)
 
 
 def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
@@ -536,7 +511,7 @@ def parse_edge_list(text: str) -> Graph:
     without numpy.
     """
     header = _HEADER.match(text)
-    if header is not None and int(header[1][:20]) >= LIST_PARSE_MAX_EDGES:
+    if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
         return _parse_with_numpy(text)
     return _parse_with_lists(text)
 
@@ -557,6 +532,10 @@ def _parse_with_lists(text: str) -> Graph:
     # pattern is checked only when the text holds either
     if not (text.isascii() and "_" not in text) and not all(map(_TOKEN.fullmatch, tokens)):
         raise EdgeListParseError("malformed edge list: a token is no decimal integer")
+    # int() refuses more than sys.get_int_max_str_digits() digits even when
+    # they are leading zeros, which numpy reads; no int64 needs 21 characters
+    if max(map(len, tokens)) > 20:
+        tokens = [_unpad(t) if len(t) > 20 else t for t in tokens]
     try:
         values = list(map(int, tokens))
     except ValueError as exc:
@@ -569,6 +548,12 @@ def _parse_with_lists(text: str) -> Graph:
             f"header declares {m} edges but {len(values) // 2 - 1} edge lines found"
         )
     return _from_lists(values[2::2], values[3::2], n)
+
+
+def _unpad(token: str) -> str:
+    """``token`` without the leading zeros of its digits."""
+    sign, digits = (token[0], token[1:]) if token[0] in "+-" else ("", token)
+    return sign + (digits.lstrip("0") or "0")
 
 
 def _parse_with_numpy(text: str) -> Graph:

@@ -528,6 +528,11 @@ class TestEdgeListFormat:
         for parse in (parse_edge_list, *PARSERS):
             g = parse("3 2 # n m\r0 +2 # an edge\r\n\t-0\t1\n")
             assert g.adjacency == ((1, 2), (0,), (0,))
+            # more digits than int() takes by default, all but one of them
+            # leading zeros
+            pad = "0" * 5000
+            g = parse(f"{pad}3 +{pad}2\n-{pad}0 {pad}2\n+{pad}1 {pad}\n")
+            assert g.adjacency == ((1, 2), (0,), (0,))
 
     @pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "1e1", "+-1", "9" * 20])
     def test_rejects_non_decimal_ids(self, token):

@@ -144,7 +144,9 @@ def settling_file(tmp_path):
 
 def run_module(*argv):
     """``python -m paramdiam.cli ARGV`` in a new interpreter, through runpy:
-    the exit code and the GC state it leaves, ``[code, enabled, frozen]``."""
+    the exit code and the GC state it leaves, ``[code, enabled, frozen,
+    numpy_collectable]``; the last is None when numpy did not load, else
+    whether the exit collection would still visit numpy's module dict."""
     return fresh(
         "import gc, json, runpy, sys\n"
         f"sys.argv = ['paramdiam', *{list(argv)!r}]\n"
@@ -153,24 +155,41 @@ def run_module(*argv):
         "    code = 'returned'\n"
         "except SystemExit as exc:\n"
         "    code = exc.code\n"
-        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))"
+        "np = sys.modules.get('numpy')\n"
+        "loose = None if np is None else any(o is np.__dict__ for o in gc.get_objects())\n"
+        "print(json.dumps([code, gc.isenabled(), gc.get_freeze_count(), loose]))"
     )
 
 
-@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
-def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(settling_file, algo):
-    # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
-    # is not needed either
-    out = fresh(
+def solve_in_process(path, algo, watched):
+    """``main(["solve", path, "--algo", algo])`` in a new interpreter: the
+    exit code, the GC state before and after, and which ``watched`` modules
+    it loaded."""
+    return fresh(
         "import contextlib, gc, io, json, sys\n"
         "from paramdiam.cli import main\n"
         "before = [gc.isenabled(), gc.get_freeze_count()]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['solve', {settling_file!r}, '--algo', {algo!r}])\n"
+        f"    code = main(['solve', {path!r}, '--algo', {algo!r}])\n"
         "print(json.dumps({'code': code, 'gc': [before,"
         " [gc.isenabled(), gc.get_freeze_count()]],"
-        f" 'loaded': sorted(m for m in sys.modules if m in {ON_DEMAND + ('numpy',)!r})}}))"
+        f" 'loaded': sorted(m for m in sys.modules if m in {tuple(watched)!r})}}))"
     )
+
+
+@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
+def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, algo):
+    # the 8-cycle with a chord takes fes's fallback through cases 1 and 3,
+    # whose numpy imports sit inside their functions
+    out = solve_in_process(cycle_file, algo, ON_DEMAND)
+    assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
+@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
+def test_small_solve_loads_no_numpy(settling_file, algo):
+    # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
+    # is not needed either
+    out = solve_in_process(settling_file, algo, ON_DEMAND + ("numpy",))
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
 
 
@@ -196,8 +215,10 @@ def test_solve_above_the_list_parse_cutoff_loads_numpy_and_agrees(tmp_path):
 
 
 def test_module_entry_point_disables_and_freezes_the_gc(cycle_file):
-    code, enabled, frozen = run_module("solve", cycle_file)
+    # fes's case 1 loads numpy during the run, after the first freeze
+    code, enabled, frozen, numpy_collectable = run_module("solve", cycle_file)
     assert code == 0 and enabled is False and frozen > 0
+    assert numpy_collectable is False
 
 
 @pytest.mark.parametrize("algo", ["naive", "cograph", "hindex-diam", "clique"])
