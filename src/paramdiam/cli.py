@@ -7,14 +7,18 @@ Exit codes are part of the contract so harnesses can script against them:
 A ``solve`` process is mostly start-up and shut-down, so this module keeps
 both short:
 
-- Only ``graph`` and ``fes``, the two routes of ``--algo auto``, are
-  imported here, and neither imports numpy at module level.  ``params``,
+- Only ``graph`` and ``fes``, which hold the two routes of ``--algo auto``,
+  are imported here, and neither imports numpy at module level.  ``params``,
   ``cograph``, ``hindex``, ``deletion`` and ``constructions`` are imported
   by the subcommand or ``--algo`` branch that runs them.
 - numpy loads only when a step needs it: an edge list of at least
   ``graph.LIST_PARSE_MAX_EDGES`` edges, fes's case sweeps when its core
   bounds do not settle, or an on-demand solver.  ``solve`` on a smaller
-  input by ``auto``, ``fes`` or ``bounded`` usually runs without it.
+  input by ``auto``, ``fes``, ``msbfs`` or ``bounded`` usually runs
+  without it.
+- ``solve`` and ``params`` need a connected graph, so a header of n >= 2
+  vertices and fewer than n - 1 edges exits 3 before any per-vertex
+  allocation.
 - ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
   ``paramdiam`` console script) turns off the cyclic garbage collector and
   freezes the import heap before parsing, and again when the run ends.
@@ -49,6 +53,7 @@ from .graph import (
     naive_diameter,
     save_edge_list,
     solve_bounded,
+    solve_certified,
 )
 
 EXIT_OK = 0
@@ -58,7 +63,7 @@ EXIT_DISCONNECTED = 3
 EXIT_BAD_MODULATOR = 4
 EXIT_VERIFY_MISMATCH = 5
 
-ALGOS = ("auto", "naive", "bounded", "fes", "cograph", "hindex-diam", "clique")
+ALGOS = ("auto", "naive", "bounded", "msbfs", "fes", "cograph", "hindex-diam", "clique")
 MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 
@@ -82,16 +87,18 @@ def _trace_sink(enabled: bool):
 
 
 def _pick_auto(g: Graph) -> str:
-    """``"fes"`` when its worst case makes fewer BFS passes than bounded's.
+    """``"fes"`` when its worst case makes fewer BFS passes than n, else ``"msbfs"``.
 
     With k = m - n + 1, ``solve_fes`` makes at most two BFS passes per high
     vertex of its reduced core, which has at most 2(k - 1) of them: at most
-    4(k - 1) passes.  ``solve_bounded`` makes at most n.  Both are exact on
-    any connected graph, so the rule picks the smaller worst case in O(1),
-    and no parameter or modulator is computed to choose.
+    4(k - 1) passes.  Bounding alone may take n passes, one per vertex, so
+    the other route, ``solve_certified``, bounds under a pass budget and
+    certifies the vertices left with the multi-source bit-parallel kernel.
+    Both are exact on any connected graph, so the rule picks in O(1), and no
+    parameter or modulator is computed to choose.
     """
     k = g.m - g.n + 1
-    return "fes" if 4 * (k - 1) < g.n else "bounded"
+    return "fes" if 4 * (k - 1) < g.n else "msbfs"
 
 
 def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple[int, dict]:
@@ -99,6 +106,8 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
         return naive_diameter(g), {}
     if algo == "bounded":
         return solve_bounded(g, trace), {}
+    if algo == "msbfs":
+        return solve_certified(g, trace), {}
     if algo == "fes":
         return solve_fes(g, trace), {"feedback_edge_number": g.m - g.n + 1}
     if algo == "cograph":
@@ -124,7 +133,7 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
 def cmd_params(args) -> int:
     from .params import parameter_report
 
-    g = load_edge_list(args.input)
+    g = load_edge_list(args.input, connected=True)
     print(json.dumps(parameter_report(g), indent=2))
     return EXIT_OK
 
@@ -136,7 +145,7 @@ def cmd_solve(args) -> int:
             f"--modulator needs --algo {'|'.join(MODULATOR_ALGOS)}, not {algo!r}"
         )
     start = time.perf_counter()
-    g = load_edge_list(args.input)
+    g = load_edge_list(args.input, connected=True)
     load_ms = (time.perf_counter() - start) * 1000.0
     modulator = _load_modulator(args.modulator) if args.modulator is not None else None
     select_ms = 0.0

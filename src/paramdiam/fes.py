@@ -38,7 +38,6 @@ only by cases 1 and 3, so a run whose bounds settle never loads it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import add
 from typing import TYPE_CHECKING, Sequence
@@ -309,18 +308,21 @@ def reduce_exhaustively(inst: WeightedDiameterInstance, trace: TraceSink = None)
 # Decomposition and the three cases
 
 
-@dataclass(frozen=True)
 class PathCycleDecomposition:
     """Degree-based partition of a graph with no degree-one vertices.
 
-    ``paths`` are maximal paths (both endpoints of degree >= 3, interior of
-    degree 2; a plain edge between high vertices is a length-1 path).
-    ``cycles`` are pending cycles, anchor first.
+    ``high`` are the vertices of degree >= 3.  ``paths`` are maximal paths
+    (both endpoints of degree >= 3, interior of degree 2; a plain edge
+    between high vertices is a length-1 path).  ``cycles`` are pending
+    cycles, anchor first.
     """
 
-    high: list[int] = field(default_factory=list)
-    paths: list[list[int]] = field(default_factory=list)
-    cycles: list[list[int]] = field(default_factory=list)
+    __slots__ = ("high", "paths", "cycles")
+
+    def __init__(self, high: list[int], paths: list[list[int]], cycles: list[list[int]]):
+        self.high = high
+        self.paths = paths
+        self.cycles = cycles
 
 
 def decompose(g: Graph) -> PathCycleDecomposition:

@@ -8,17 +8,26 @@ A :class:`Graph` holds only its adjacency, with no cache beside it, and
 never changes after construction, so it can be shared freely between
 threads.
 
-Every traversal in the package runs on one kernel, :func:`_bfs`, which
-writes the distances it finds into a ``dist`` list owned by its caller;
-every public function here is pure.  A traversal of G - X needs no copy
-of it: the vertices of X are set in ``dist`` before the search, as walls.
-Both modulator solvers group the vertices outside X by their columns of
-one :func:`bfs_rows` table from X, through :func:`fingerprint_types`.
+Traversals run on two kernels.  :func:`_bfs` is one search from one
+source: it writes the distances it finds into a ``dist`` list owned by its
+caller, and every other traversal in the package calls it.  A traversal of
+G - X needs no copy of it: the vertices of X are set in ``dist`` before the
+search, as walls.  Both modulator solvers group the vertices outside X by
+their columns of one :func:`bfs_rows` table from X, through
+:func:`fingerprint_types`.  :func:`_ms_bfs` runs many searches at once, one
+bit per source in a Python int per vertex, and returns only the largest
+eccentricity among its sources.  It is the second kernel because on graphs
+whose eccentricities are nearly equal no bound prunes, every vertex must be
+searched from, and an interpreted loop per source is then all the cost: one
+C-level OR moves thousands of searches along an edge.  Only
+:func:`solve_certified` calls it, and every public function here is pure.
 
-Two diameter solvers live here: :func:`naive_diameter`, one BFS per vertex
-and the reference oracle for every other solver, and :func:`solve_bounded`,
-which needs no structural parameter and prunes BFS sources with
-eccentricity bounds.  Its loop, :func:`bounding_diameters`, takes vertex
+Three diameter solvers live here: :func:`naive_diameter`, one BFS per
+vertex and the reference oracle for every other solver,
+:func:`solve_bounded`, which needs no structural parameter and prunes BFS
+sources with eccentricity bounds, and :func:`solve_certified`, which runs
+those bounds under a pass budget and certifies the vertices they leave with
+:func:`_ms_bfs`.  The bounds loop, :func:`bounding_diameters`, takes vertex
 weights, so it also bounds the weighted core that ``solve_fes`` reduces to.
 It runs on Python lists, with C-level ``map``, ``min`` and ``max`` over the
 candidates and updates written only where a bound moves.
@@ -26,8 +35,8 @@ candidates and updates written only where a bound moves.
 numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
 lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
-parsed into lists, so ``solve`` on it, by ``naive``, ``bounded`` or a
-``fes`` run whose core bounds settle, never loads numpy.
+parsed into lists, so ``solve`` on it, by ``naive``, ``bounded``,
+``msbfs`` or a ``fes`` run whose core bounds settle, never loads numpy.
 """
 
 from __future__ import annotations
@@ -110,13 +119,14 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     return _from_pairs(pairs, n)
 
 
-def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
+def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``.
 
     Checks every edge at once and raises for the first faulty one in input
     order: an endpoint out of range, then a self-loop, then an edge whose
     key lo * n + hi an earlier edge already has, found by a stable sort of
-    the keys.  The adjacency comes from one sort of both edge directions.
+    the keys.  With ``connected``, too few edges to connect n vertices
+    raise next.  The adjacency comes from one sort of both edge directions.
     """
     import numpy as np
 
@@ -138,6 +148,8 @@ def _from_pairs(pairs: np.ndarray, n: int) -> Graph:
         if a == b:
             raise SelfLoopError(f"self-loop at vertex {a}")
         raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
+    if connected:
+        _check_enough_edges(n, len(pairs))
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))
     nbrs = tuple(dst[np.argsort(src * n + dst)].tolist())
@@ -153,7 +165,13 @@ def _check_vertex_count(n: int) -> None:
         raise VertexRangeError(f"vertex count {n} above {MAX_VERTICES}")
 
 
-def _from_lists(us: list[int], vs: list[int], n: int) -> Graph:
+def _check_enough_edges(n: int, m: int) -> None:
+    """Raise for n >= 2 vertices and fewer than n - 1 edges: no such graph is connected."""
+    if n >= 2 and m < n - 1:
+        raise DisconnectedGraphError(f"{m} edges are too few to connect {n} vertices")
+
+
+def _from_lists(us: list[int], vs: list[int], n: int, connected: bool = False) -> Graph:
     """The validated Graph on vertices 0..n-1 with the edges (us[i], vs[i]).
 
     The same checks and errors as :func:`_from_pairs`, without numpy: C-level
@@ -168,6 +186,8 @@ def _from_lists(us: list[int], vs: list[int], n: int) -> Graph:
         or len(set(zip(map(mul, us, vs), map(add, us, vs)))) < len(us)
     ):
         _raise_first_faulty_edge(us, vs, n)
+    if connected:
+        _check_enough_edges(n, len(us))
     adjacency = [[] for _ in range(n)]
     for ends, others in ((us, vs), (vs, us)):
         deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
@@ -222,6 +242,70 @@ def _bfs_dist(adjacency: Sequence[Iterable[int]], n: int, source: int) -> list[i
     dist = [UNREACHABLE] * n
     _bfs(adjacency, source, dist)
     return dist
+
+
+def _ms_bfs(adjacency: Sequence[Sequence[int]], n: int, sources: Sequence[int]) -> int:
+    """Multi-source bit-parallel BFS; the largest eccentricity among ``sources``.
+
+    MS-BFS (Then et al., PVLDB 2014): source i owns bit i of one Python int
+    per vertex, so one C-level OR carries every search that has reached a
+    vertex across an edge.  ``todo[v]`` holds the bits that have not reached
+    v yet, and the frontier maps each vertex reached in the last round to
+    the bits that reached it then.  A round pushes the frontier's bits to
+    its neighbours and keeps what is new to them, so a vertex is in the
+    frontier once per distinct distance to it from the sources:
+    O(min(|S|, D + 1) * (n + m)) big-int operations in all, and no round
+    visits a vertex that no frontier vertex is next to.
+
+    Returns the number of rounds until every bit has reached every vertex.
+    Raises :class:`DisconnectedGraphError` when a round adds no bit before
+    that.
+    """
+    todo = [(1 << len(sources)) - 1] * n
+    pushed = [0] * n  # the bits pushed to each vertex this round; 0 between rounds
+    frontier: dict[int, int] = {}
+    for i, source in enumerate(sources):
+        frontier[source] = frontier.get(source, 0) | 1 << i
+    for source, bits in frontier.items():
+        todo[source] ^= bits
+    left = n - todo.count(0)
+    rounds = 0
+    while left:
+        if not frontier:
+            raise DisconnectedGraphError("graph is not connected")
+        rounds += 1
+        for v, bits in frontier.items():
+            for w in adjacency[v]:
+                pushed[w] |= bits
+        reached = set().union(*map(adjacency.__getitem__, frontier))
+        frontier = {}
+        for w in reached:
+            rest = todo[w]
+            new = pushed[w] & rest
+            pushed[w] = 0
+            if new:
+                rest ^= new
+                todo[w] = rest
+                frontier[w] = new
+                if not rest:
+                    left -= 1
+    return rounds
+
+
+# The most bytes of working state one _ms_bfs call may take.
+MS_BFS_MAX_BYTES = 64 * 2**20
+
+
+def _ms_bfs_width(n: int) -> int:
+    """The most sources one :func:`_ms_bfs` call on n vertices may take; 0 if not one.
+
+    Its working state per vertex is up to three ints of one bit per source
+    (todo, pushed and frontier bits), at 4 bytes per 30-bit digit, plus at
+    most 512 bytes of int headers and list, dict and set entries.  Its
+    tracemalloc peak was 68-96% of that on trees plus edges, grids, paths
+    and random graphs of 700 to 20000 vertices.
+    """
+    return max(0, 30 * ((MS_BFS_MAX_BYTES // max(n, 1) - 512) // 12))
 
 
 def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
@@ -294,7 +378,7 @@ def bounding_diameters(
     g: Graph,
     pen: Sequence[int],
     pool: Sequence[bool] | None = None,
-    budget: int | None = None,
+    budget: int | Callable[[int], int] | None = None,
 ) -> tuple[list[int], list[int], int, dict[int, list[int]]]:
     """BoundingDiameters (Takes & Kosters, CIKM 2011) for a pen-weighted diameter.
 
@@ -315,9 +399,10 @@ def bounding_diameters(
     searched is kept.  With no ``pool`` and pen = 0 this is plain
     BoundingDiameters, and a vertex-transitive graph takes n passes.
 
-    Stops after ``budget`` BFS passes at the latest.  Returns (lower,
-    upper, passes, rows): the bounds on every e(v), the BFS passes made and
-    the kept rows by source, all lists.  The largest pen + lower and
+    Stops after ``budget`` BFS passes at the latest, or, when ``budget`` is
+    a function, after as many as it returns for the first source's e(u).
+    Returns (lower, upper, passes, rows): the bounds on every e(v), the BFS
+    passes made and the kept rows by source, all lists.  The largest pen + lower and
     pen + upper bound D, and are equal unless the budget ran out.  A bound
     is kept as it stood when its vertex left the candidates; it stays valid.
     """
@@ -357,6 +442,8 @@ def bounding_diameters(
         reach[source] = 0  # below every other entry, and e = 0 when n = 1
         ecc = max(reach)
         far = reach.index(ecc)
+        if callable(budget):
+            budget = budget(ecc)
         # this pass's lower bound at distance x from the source
         low_at = list(map(max, range(ps, ps + ecc + 1), range(ecc, -1, -1)))
         up_plus = max(ecc, ps)
@@ -421,6 +508,47 @@ def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
     best = max(lower)
     if trace is not None:
         trace({"passes": passes, "lower": best, "upper": max(upper)})
+    return best
+
+
+def solve_certified(g: Graph, trace: TraceSink = None) -> int:
+    """Exact diameter: eccentricity bounds first, then :func:`_ms_bfs` over what they leave.
+
+    :func:`bounding_diameters` with every pen 0 runs until its bounds meet or
+    it has made 2e + 1 BFS passes, e being its first source's eccentricity.
+    D <= 2e, so one kernel call makes at most that many rounds, each about
+    as costly as one pass.  The candidates left, whose upper bound is above
+    the best lower bound, are then searched in chunks of at most
+    :func:`_ms_bfs_width` sources, largest upper bound first, and a chunk
+    leaves out every candidate that the chunks before it have settled.
+    When the memory budget does not fit one source, the bounds run until
+    they meet, as in :func:`solve_bounded`.
+
+    ``trace`` gets one final event: the BFS passes, the candidates the
+    bounds left, the kernel's chunks and its rounds summed over them, and
+    the lower and upper bounds on the diameter, which are then equal.
+    """
+    n = g.n
+    if n == 0:
+        raise VertexRangeError("diameter undefined for the empty graph")
+    width = _ms_bfs_width(n)
+    budget = (lambda ecc: 2 * ecc + 1) if width else None
+    lower, upper, passes, _ = bounding_diameters(g, [0] * n, budget=budget)
+    best = max(lower)
+    cand = sorted((v for v in range(n) if upper[v] > best), key=upper.__getitem__, reverse=True)
+    candidates = len(cand)
+    chunks = rounds = 0
+    while cand:
+        parts = -(-len(cand) // width)
+        size = -(-len(cand) // parts)  # equal chunks of at most width
+        found = _ms_bfs(g.adjacency, n, cand[:size])
+        chunks += 1
+        rounds += found
+        best = max(best, found)
+        cand = [v for v in cand[size:] if upper[v] > best]
+    if trace is not None:
+        trace({"passes": passes, "candidates": candidates, "chunks": chunks,
+               "rounds": rounds, "lower": best, "upper": best})
     return best
 
 
@@ -497,7 +625,7 @@ _COMMENT = re.compile(r"#[^\r\n]*")
 _TOKEN = re.compile(r"[+-]?[0-9]+")
 
 
-def parse_edge_list(text: str) -> Graph:
+def parse_edge_list(text: str, connected: bool = False) -> Graph:
     r"""Parse edge-list text into a validated Graph.
 
     The grammar is whitespace-separated rows of decimal integers with an
@@ -508,15 +636,18 @@ def parse_edge_list(text: str) -> Graph:
     an invalid graph raises what :func:`from_edge_list` raises.
 
     A header declaring fewer than ``LIST_PARSE_MAX_EDGES`` edges is parsed
-    without numpy.
+    without numpy.  With ``connected``, a well-formed text whose header
+    declares n >= 2 vertices and fewer than n - 1 edges raises
+    :class:`DisconnectedGraphError` before any per-vertex allocation: no
+    such graph is connected, whatever its edges.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
-        return _parse_with_numpy(text)
-    return _parse_with_lists(text)
+        return _parse_with_numpy(text, connected)
+    return _parse_with_lists(text, connected)
 
 
-def _parse_with_lists(text: str) -> Graph:
+def _parse_with_lists(text: str, connected: bool = False) -> Graph:
     if "#" in text:
         text = _COMMENT.sub("", text)
     if "\r" in text:
@@ -547,7 +678,7 @@ def _parse_with_lists(text: str) -> Graph:
         raise EdgeListParseError(
             f"header declares {m} edges but {len(values) // 2 - 1} edge lines found"
         )
-    return _from_lists(values[2::2], values[3::2], n)
+    return _from_lists(values[2::2], values[3::2], n, connected)
 
 
 def _unpad(token: str) -> str:
@@ -556,7 +687,7 @@ def _unpad(token: str) -> str:
     return sign + (digits.lstrip("0") or "0")
 
 
-def _parse_with_numpy(text: str) -> Graph:
+def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
     import numpy as np
 
     try:
@@ -580,7 +711,7 @@ def _parse_with_numpy(text: str) -> Graph:
         raise EdgeListParseError(
             f"header declares {m} edges but {len(rows) - 1} edge lines found"
         )
-    return _from_pairs(rows[1:], n)
+    return _from_pairs(rows[1:], n, connected)
 
 
 def format_edge_list(g: Graph, comment: str | None = None) -> str:
@@ -594,9 +725,10 @@ def format_edge_list(g: Graph, comment: str | None = None) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_edge_list(path: str) -> Graph:
+def load_edge_list(path: str, connected: bool = False) -> Graph:
+    """:func:`parse_edge_list` of the file at ``path``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        return parse_edge_list(fh.read(), connected)
 
 
 def save_edge_list(g: Graph, path: str, comment: str | None = None) -> None:

@@ -3,6 +3,8 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -61,7 +63,7 @@ class TestParams:
 
 class TestSolve:
     @pytest.mark.parametrize(
-        "algo", ["auto", "naive", "fes", "cograph", "hindex-diam", "clique"]
+        "algo", ["auto", "naive", "msbfs", "fes", "cograph", "hindex-diam", "clique"]
     )
     def test_all_algorithms_agree(self, capsys, path_graph, algo):
         code, out, _ = run(capsys, "solve", path_graph, "--algo", algo)
@@ -103,6 +105,14 @@ class TestSolve:
         assert len(events) == 1
         assert events[0]["lower"] == events[0]["upper"] == 3
         assert 1 <= events[0]["passes"] <= 4
+
+    def test_msbfs_trace_is_one_final_event(self, capsys, path_graph):
+        code, out, err = run(capsys, "solve", path_graph, "--algo", "msbfs", "--trace")
+        assert code == 0
+        assert json.loads(out)["diameter"] == 3
+        (event,) = [json.loads(line) for line in err.splitlines()]
+        assert set(event) == {"passes", "candidates", "chunks", "rounds", "lower", "upper"}
+        assert event["lower"] == event["upper"] == 3
 
     @pytest.mark.parametrize("algo", ["auto", "fes"])
     def test_modulator_rejected_for_algos_that_take_none(self, capsys, path_graph, tmp_path, algo):
@@ -294,7 +304,7 @@ class TestPickAuto:
     def test_route_follows_pass_bound(self, capsys, tmp_path, no_modulator_scan):
         routes = set()
         for i, g in enumerate(auto_corpus()):
-            want = "fes" if 4 * (g.m - g.n) < g.n else "bounded"
+            want = "fes" if 4 * (g.m - g.n) < g.n else "msbfs"
             assert _pick_auto(g) == want
             path = str(tmp_path / f"g{i}.el")
             save_edge_list(g, path)
@@ -302,7 +312,7 @@ class TestPickAuto:
             assert code == 0 and rep["algo"] == want
             assert rep["diameter"] == naive_diameter(g)
             routes.add(want)
-        assert routes == {"fes", "bounded"}
+        assert routes == {"fes", "msbfs"}
 
     def test_pass_bound_is_strict(self):
         """fes only while its 4(k - 1) passes stay below n: a cycle with
@@ -311,7 +321,7 @@ class TestPickAuto:
             cycle = [(i, (i + 1) % n) for i in range(n)]
             return from_edge_list(cycle + [(0, 2), (0, 3)], n)
 
-        assert _pick_auto(cycle_with_two_chords(8)) == "bounded"
+        assert _pick_auto(cycle_with_two_chords(8)) == "msbfs"
         assert _pick_auto(cycle_with_two_chords(9)) == "fes"
 
     def test_large_sparse_tree_routes_to_fes(self, capsys, tmp_path, no_modulator_scan):
@@ -369,8 +379,8 @@ def family_instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(family_instances())
 def test_generated_families_match_networkx(g):
-    """``solve --algo auto`` and ``solve_bounded`` print networkx's diameter
-    on the generator families and constructions."""
+    """``solve --algo auto``, ``solve --algo msbfs`` and ``solve_bounded``
+    give networkx's diameter on the generator families and constructions."""
     import networkx as nx
 
     ref = nx.Graph()
@@ -381,7 +391,37 @@ def test_generated_families_match_networkx(g):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.el")
         save_edge_list(g, path)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert main(["solve", path, "--algo", "auto"]) == 0
-    assert json.loads(out.getvalue())["diameter"] == want
+        for algo in ("auto", "msbfs"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["solve", path, "--algo", algo]) == 0
+            assert json.loads(out.getvalue())["diameter"] == want, algo
+
+
+def run_in_1_gib(*argv):
+    """``python -m paramdiam.cli ARGV`` in a new interpreter whose address
+    space is capped at 1 GiB, so that a run that allocates per vertex on a
+    huge header fails fast instead of exhausting memory; the exit code."""
+    resource = pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(paramdiam.cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "paramdiam.cli", *argv],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode
+
+
+@pytest.mark.parametrize("command", ["solve", "params"])
+def test_header_too_sparse_to_connect_exits_3_before_allocating(tmp_path, command):
+    huge = tmp_path / "huge.el"
+    huge.write_text("1000000000 0\n")
+    small = tmp_path / "small.el"
+    small.write_text("3 2\n0 1\n1 2\n")
+    assert run_in_1_gib(command, str(small)) == 0  # the cap leaves room for a run
+    assert run_in_1_gib(command, str(huge)) == 3

@@ -23,6 +23,7 @@ from paramdiam import (
     naive_diameter,
     parse_edge_list,
     solve_bounded,
+    solve_certified,
 )
 from paramdiam.constructions import (
     CnfFormula,
@@ -36,7 +37,10 @@ from paramdiam.constructions import (
 from paramdiam.graph import (
     UNREACHABLE,
     _bfs,
+    _bfs_dist,
     _from_lists,
+    _ms_bfs,
+    _ms_bfs_width,
     _parse_with_lists,
     _parse_with_numpy,
     bfs_rows,
@@ -378,6 +382,136 @@ def test_no_pruning_takes_at_most_n_passes(monkeypatch):
     assert event["passes"] == len(calls) <= g.n
 
 
+def grid(rows, cols):
+    """The rows x cols grid graph, vertex r * cols + c at row r and column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return from_edge_list(edges, rows * cols)
+
+
+class TestMsBfs:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs(max_n=14), st.data())
+    def test_matches_the_largest_bfs_row(self, g, data):
+        # repeated sources included
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+        if is_connected(g):
+            want = max(max(_bfs_dist(g.adjacency, g.n, s)) for s in sources)
+            assert _ms_bfs(g.adjacency, g.n, sources) == want
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                _ms_bfs(g.adjacency, g.n, sources)
+
+    def test_working_state_fits_the_memory_budget(self, monkeypatch):
+        budget = 2 * 2**20
+        monkeypatch.setattr("paramdiam.graph.MS_BFS_MAX_BYTES", budget)
+        g = gen_tree_plus_k(2000, 6000, 1)
+        width = _ms_bfs_width(g.n)
+        assert 0 < width < g.n
+        sources = list(range(width))
+        tracemalloc.start()
+        try:
+            _ms_bfs(g.adjacency, g.n, sources)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+
+def count_kernel_calls(monkeypatch):
+    """Count the calls of both traversal kernels from here on: the sources
+    of each ``_bfs`` call, and the number of ``_ms_bfs`` calls."""
+    calls = {"bfs": [], "ms_bfs": 0}
+
+    def bfs_counted(*args, **kwargs):
+        calls["bfs"].append(args[1])
+        return _bfs(*args, **kwargs)
+
+    def ms_bfs_counted(*args):
+        calls["ms_bfs"] += 1
+        return _ms_bfs(*args)
+
+    monkeypatch.setattr("paramdiam.graph._bfs", bfs_counted)
+    monkeypatch.setattr("paramdiam.graph._ms_bfs", ms_bfs_counted)
+    return calls
+
+
+class TestSolveCertified:
+    @pytest.mark.parametrize("g", bounded_corpus())
+    def test_seeded_corpus_matches_both_oracles(self, g):
+        events = []
+        got = solve_certified(g, events.append)
+        assert got == naive_diameter(g) == diameter_floyd(g)
+        (event,) = events
+        assert set(event) == {"passes", "candidates", "chunks", "rounds", "lower", "upper"}
+        assert event["lower"] == event["upper"] == got
+        assert 1 <= event["passes"] <= g.n
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(connected_only=True))
+    def test_matches_floyd_warshall(self, g):
+        assert solve_certified(g) == diameter_floyd(g)
+
+    def test_single_vertex(self):
+        assert solve_certified(from_edge_list([], 1)) == 0
+
+    def test_rejects_empty_graph(self):
+        with pytest.raises(VertexRangeError):
+            solve_certified(from_edge_list([], 0))
+
+    def test_rejects_disconnected_graph(self):
+        with pytest.raises(DisconnectedGraphError):
+            solve_certified(from_edge_list([(0, 1), (2, 3)], 4))
+
+    def test_stalled_bounds_hand_over_to_one_chunk(self, monkeypatch):
+        """Where solve_bounded makes over a thousand passes, the route makes
+        at most 2 ecc(first source) + 1, then one kernel call."""
+        g = gen_tree_plus_k(5000, 15000, 1)
+        want = naive_diameter(g)
+        calls = count_kernel_calls(monkeypatch)
+        events = []
+        assert solve_certified(g, events.append) == want
+        (event,) = events
+        passes, first = len(calls["bfs"]), calls["bfs"][0]
+        assert calls["ms_bfs"] == event["chunks"] == 1
+        assert event["passes"] == passes <= 2 * max(_bfs_dist(g.adjacency, g.n, first)) + 1
+
+    def test_settled_bounds_call_no_kernel(self, monkeypatch):
+        g = grid(60, 60)
+        want = naive_diameter(g)
+        bounded = []
+        solve_bounded(g, bounded.append)
+        calls = count_kernel_calls(monkeypatch)
+        events = []
+        assert solve_certified(g, events.append) == want
+        (event,) = events
+        assert event["passes"] == len(calls["bfs"]) == bounded[0]["passes"]
+        assert calls["ms_bfs"] == event["chunks"] == event["candidates"] == 0
+
+    def test_small_memory_budget_takes_several_chunks(self, monkeypatch):
+        g = gen_connected_er(300, 0.03, 1)
+        want = naive_diameter(g)
+        monkeypatch.setattr("paramdiam.graph.MS_BFS_MAX_BYTES", g.n * (512 + 12))
+        assert _ms_bfs_width(g.n) == 30
+        calls = count_kernel_calls(monkeypatch)
+        events = []
+        assert solve_certified(g, events.append) == want
+        assert calls["ms_bfs"] == events[0]["chunks"] >= 2
+
+    def test_budget_below_one_bit_per_vertex_keeps_bounding(self, monkeypatch):
+        g = gen_connected_er(300, 0.03, 1)
+        bounded = []
+        want = solve_bounded(g, bounded.append)
+        monkeypatch.setattr("paramdiam.graph.MS_BFS_MAX_BYTES", g.n // 8 - 1)
+        assert _ms_bfs_width(g.n) == 0
+        calls = count_kernel_calls(monkeypatch)
+        events = []
+        assert solve_certified(g, events.append) == want
+        (event,) = events
+        assert event["passes"] == bounded[0]["passes"]
+        assert calls["ms_bfs"] == event["chunks"] == event["candidates"] == 0
+
+
 class TestBfsRows:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
@@ -552,6 +686,22 @@ class TestEdgeListFormat:
         monkeypatch.setattr(np, "loadtxt", via_float)
         with pytest.raises(EdgeListParseError):
             _parse_with_numpy("3 1\n0 1.5\n")
+
+    def test_connected_rejects_too_few_edges_before_allocating(self):
+        for parse in (parse_edge_list, *PARSERS):
+            # a billion per-vertex lists would be built without the check
+            with pytest.raises(DisconnectedGraphError):
+                parse("1000000000 0\n", connected=True)
+            with pytest.raises(DisconnectedGraphError):
+                parse("4 2\n0 1\n2 3\n", connected=True)
+            assert parse("4 2\n0 1\n2 3\n").n == 4
+            assert parse("1 0\n", connected=True).n == 1
+            assert parse("3 2\n0 1\n1 2\n", connected=True).m == 2
+            # a faulty text keeps its own error
+            with pytest.raises(EdgeListParseError):
+                parse("3 1\n0 x\n", connected=True)
+            with pytest.raises(VertexRangeError):
+                parse("3 1\n0 5\n", connected=True)
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())

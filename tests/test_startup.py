@@ -39,6 +39,7 @@ EXPORTS = (
     "parse_edge_list",
     "save_edge_list",
     "solve_bounded",
+    "solve_certified",
     "solve_clique_modulator",
     "solve_cograph",
     "solve_fes",
@@ -185,7 +186,7 @@ def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, alg
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
 
 
-@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
+@pytest.mark.parametrize("algo", ["auto", "fes", "bounded", "msbfs"])
 def test_small_solve_loads_no_numpy(settling_file, algo):
     # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
     # is not needed either
