@@ -305,7 +305,7 @@ def _ms_bfs_width(n: int) -> int:
     tracemalloc peak was 68-96% of that on trees plus edges, grids, paths
     and random graphs of 700 to 20000 vertices.
     """
-    return max(0, 30 * ((MS_BFS_MAX_BYTES // max(n, 1) - 512) // 12))
+    return max(0, 30 * ((MS_BFS_MAX_BYTES // n - 512) // 12))
 
 
 def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
