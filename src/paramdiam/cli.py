@@ -7,10 +7,11 @@ Exit codes are part of the contract so harnesses can script against them:
 A ``solve`` process is mostly start-up and shut-down, so this module keeps
 both short:
 
-- Only ``graph`` and ``fes``, which hold the two routes of ``--algo auto``,
-  are imported here, and neither imports numpy at module level.  ``params``,
-  ``cograph``, ``hindex``, ``deletion`` and ``constructions`` are imported
-  by the subcommand or ``--algo`` branch that runs them.
+- Of the solver modules, only ``graph`` is imported here, and it imports
+  no numpy at module level.  ``fes``, ``params``, ``cograph``, ``hindex``, ``deletion`` and
+  ``constructions`` are imported by the subcommand or ``--algo`` branch
+  that runs them, so ``auto`` loads ``fes`` only on a graph it routes
+  there, and ``msbfs``, ``bounded`` and ``naive`` never load it.
 - numpy loads only when a step needs it: an edge list of at least
   ``graph.LIST_PARSE_MAX_EDGES`` edges, fes's case sweeps when its core
   bounds do not settle, or an on-demand solver.  ``solve`` on a smaller
@@ -18,7 +19,11 @@ both short:
   without it.
 - ``solve`` and ``params`` need a connected graph, so a header of n >= 2
   vertices and fewer than n - 1 edges exits 3 before any per-vertex
-  allocation.
+  allocation.  A malformed text, or an edge out of range, a self-loop or a
+  duplicate edge, exits 2 first.
+- Loading keeps no parse temporary past the step that uses it (see
+  ``graph.parse_edge_list``), so what a ``solve`` holds when its solver
+  starts is its graph, and the parse peaks at about twice the graph.
 - ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
   ``paramdiam`` console script) turns off the cyclic garbage collector and
   freezes the import heap before parsing, and again when the run ends.
@@ -46,7 +51,6 @@ from .errors import (
     InvalidModulatorError,
     ParamDiamError,
 )
-from .fes import solve_fes
 from .graph import (
     Graph,
     load_edge_list,
@@ -109,6 +113,8 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
     if algo == "msbfs":
         return solve_certified(g, trace), {}
     if algo == "fes":
+        from .fes import solve_fes
+
         return solve_fes(g, trace), {"feedback_edge_number": g.m - g.n + 1}
     if algo == "cograph":
         from .cograph import solve_cograph

@@ -37,6 +37,12 @@ numpy is imported only by the functions that need it: :func:`bfs_rows`,
 lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
 parsed into lists, so ``solve`` on it, by ``naive``, ``bounded``,
 ``msbfs`` or a ``fes`` run whose core bounds settle, never loads numpy.
+
+Both parsers and both graph builders drop each temporary as soon as the
+step that uses it is done: the lines, the tokens, the parsed values and the
+per-edge check arrays never outlive their step, and no per-edge key is kept
+beside the rows.  What a parse leaves is its graph, and its peak memory is
+about twice that graph.
 """
 
 from __future__ import annotations
@@ -127,6 +133,8 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     key lo * n + hi an earlier edge already has, found by a stable sort of
     the keys.  With ``connected``, too few edges to connect n vertices
     raise next.  The adjacency comes from one sort of both edge directions.
+    Each step's arrays are deleted once it is done, so none of them is
+    alive beside the Python adjacency.
     """
     import numpy as np
 
@@ -140,6 +148,7 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     ordered = key[order]
     bad = out | (u == v)
     bad[order[1:][ordered[1:] == ordered[:-1]]] = True
+    del key, order, ordered
     if bad.any():
         i = int(bad.argmax())
         a, b = int(u[i]), int(v[i])
@@ -148,12 +157,17 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
         if a == b:
             raise SelfLoopError(f"self-loop at vertex {a}")
         raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
+    del out, bad
     if connected:
         _check_enough_edges(n, len(pairs))
     src = np.concatenate((u, v))
     dst = np.concatenate((v, u))
-    nbrs = tuple(dst[np.argsort(src * n + dst)].tolist())
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    dst = dst[np.argsort(src * n + dst)]
+    ends = np.cumsum(np.bincount(src, minlength=n))
+    del src
+    nbrs = tuple(dst.tolist())
+    del dst
+    ends = ends.tolist()
     adjacency = tuple([nbrs[i:j] for i, j in zip([0] + ends, ends)])
     return Graph(n, adjacency, len(pairs))
 
@@ -174,25 +188,32 @@ def _check_enough_edges(n: int, m: int) -> None:
 def _from_lists(us: list[int], vs: list[int], n: int, connected: bool = False) -> Graph:
     """The validated Graph on vertices 0..n-1 with the edges (us[i], vs[i]).
 
-    The same checks and errors as :func:`_from_pairs`, without numpy: C-level
-    scans find whether any edge is faulty, and only then does a per-edge
-    walk name the first one.  An unordered pair {u, v} is identified by
-    (u * v, u + v).
+    The same checks, errors and order as :func:`_from_pairs`, without numpy.
+    C-level scans of ``us`` and ``vs`` find an endpoint out of range or a
+    self-loop.  With ``connected``, too few edges raise next, before any
+    per-vertex allocation, unless a walk over the edges finds a duplicate
+    first.  Otherwise the rows are built, and a duplicate edge shows as a
+    row with a repeated neighbour.  Whenever a check fails, a per-edge walk
+    names the first faulty edge.  Only the rows are built beside the edge
+    lists: no per-edge key is kept.
     """
     _check_vertex_count(n)
+    m = len(us)
     if us and (
         min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
         or any(map(eq, us, vs))
-        or len(set(zip(map(mul, us, vs), map(add, us, vs)))) < len(us)
     ):
         _raise_first_faulty_edge(us, vs, n)
-    if connected:
-        _check_enough_edges(n, len(us))
+    if connected and m < n - 1:
+        _raise_first_faulty_edge(us, vs, n)  # a duplicate edge keeps its own error
+        _check_enough_edges(n, m)
     adjacency = [[] for _ in range(n)]
     for ends, others in ((us, vs), (vs, us)):
         deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
+    if sum(map(len, map(set, adjacency))) < 2 * m:
+        _raise_first_faulty_edge(us, vs, n)
     deque(map(list.sort, adjacency), maxlen=0)
-    return Graph(n, tuple(map(tuple, adjacency)), len(us))
+    return Graph(n, tuple(map(tuple, adjacency)), m)
 
 
 def _raise_first_faulty_edge(us: list[int], vs: list[int], n: int) -> None:
@@ -636,10 +657,23 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     an invalid graph raises what :func:`from_edge_list` raises.
 
     A header declaring fewer than ``LIST_PARSE_MAX_EDGES`` edges is parsed
-    without numpy.  With ``connected``, a well-formed text whose header
-    declares n >= 2 vertices and fewer than n - 1 edges raises
-    :class:`DisconnectedGraphError` before any per-vertex allocation: no
-    such graph is connected, whatever its edges.
+    without numpy.  Either parser checks, in this order:
+
+    1. the text: not empty, two fields on every row, decimal int64 tokens,
+       and as many edge rows as the header declares;
+    2. the vertex count n, which must fit 0..2**31 - 1;
+    3. the edges: the first faulty one in input order raises, for an
+       endpoint out of range, a self-loop or a duplicate edge;
+    4. with ``connected``, a header of n >= 2 vertices and fewer than n - 1
+       edges raises :class:`DisconnectedGraphError` before any per-vertex
+       allocation: no such graph is connected, whatever its edges.
+
+    The list parser counts the fields of each line before it splits the
+    text into tokens, drops the tokens once they are ints and the ints once
+    they are split into the two endpoint lists, and :func:`_from_lists`
+    finds duplicate edges in the rows it builds.  The numpy parser reads
+    one int64 array, and :func:`_from_pairs` deletes its check arrays before
+    it builds the rows.  Only the graph outlives the call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
@@ -652,13 +686,14 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
         text = _COMMENT.sub("", text)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    tokens = text.split()
-    if not tokens:
-        raise EdgeListParseError("empty input")
-    # fields per non-blank line, without keeping a list per line alive
+    # fields per non-blank line, counted before the text is tokenised, so the
+    # lines are gone before the tokens exist
     widths = set(map(len, map(str.split, text.split("\n")))) - {0}
+    if not widths:
+        raise EdgeListParseError("empty input")
     if widths != {2}:
         raise EdgeListParseError("malformed edge list: every row needs two fields")
+    tokens = text.split()
     # int() also takes '_' between digits and non-ASCII digits; the token
     # pattern is checked only when the text holds either
     if not (text.isascii() and "_" not in text) and not all(map(_TOKEN.fullmatch, tokens)):
@@ -671,6 +706,7 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
         values = list(map(int, tokens))
     except ValueError as exc:
         raise EdgeListParseError(f"malformed edge list: {exc}") from None
+    del tokens
     if min(values) < -(2**63) or max(values) >= 2**63:
         raise EdgeListParseError("malformed edge list: a value outside int64")
     n, m = values[0], values[1]
@@ -678,7 +714,9 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
         raise EdgeListParseError(
             f"header declares {m} edges but {len(values) // 2 - 1} edge lines found"
         )
-    return _from_lists(values[2::2], values[3::2], n, connected)
+    us, vs = values[2::2], values[3::2]
+    del values
+    return _from_lists(us, vs, n, connected)
 
 
 def _unpad(token: str) -> str:

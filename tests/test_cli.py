@@ -144,6 +144,13 @@ class TestSolve:
         assert code == 2
         assert out == "" and "error" in err
 
+    def test_exit_code_duplicate_edge_before_too_few_edges(self, capsys, tmp_path):
+        p = tmp_path / "dup.el"
+        p.write_text("4 2\n0 1\n1 0\n")  # also too few edges to connect 4 vertices
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2
+        assert out == "" and "duplicate edge (1, 0)" in err
+
     def test_exit_code_disconnected(self, capsys, tmp_path):
         p = tmp_path / "disc.el"
         save_edge_list(from_edge_list([(0, 1)], 3), str(p))

@@ -382,6 +382,35 @@ def test_no_pruning_takes_at_most_n_passes(monkeypatch):
     assert event["passes"] == len(calls) <= g.n
 
 
+def parse_peak_over_graph(parse, text):
+    """The tracemalloc peak of ``parse(text)`` over the traced size of the graph it returns."""
+    parse(text)  # first-call set-up, such as numpy's lazy imports, is not measured
+    # Hold 2000 new tuples of each size up to 20, more than the interpreter's
+    # tuple free lists keep, so that every row of the graph is a traced
+    # allocation whatever earlier code freed.
+    held = [tuple([None] * k) for k in range(1, 21) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        g = parse(text)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del held, g
+    return peak / size
+
+
+# Deterministic memory gates.  On gen_tree_plus_k(20000, 300, 1) the ratio
+# reads 3.89 through lists and 2.11 through numpy when every parse
+# temporary lives to the end of the call, and 1.98 and 1.64 when each is
+# dropped after its step (Python 3.11).
+@pytest.mark.parametrize(
+    "parse, bound", [(_parse_with_lists, 2.5), (_parse_with_numpy, 1.85)]
+)
+def test_parse_peaks_near_the_graph_it_returns(parse, bound):
+    text = format_edge_list(gen_tree_plus_k(20000, 300, 1))
+    assert parse_peak_over_graph(parse, text) <= bound
+
+
 def grid(rows, cols):
     """The rows x cols grid graph, vertex r * cols + c at row r and column c."""
     edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
@@ -702,6 +731,13 @@ class TestEdgeListFormat:
                 parse("3 1\n0 x\n", connected=True)
             with pytest.raises(VertexRangeError):
                 parse("3 1\n0 5\n", connected=True)
+
+    def test_connected_names_a_duplicate_edge_before_too_few_edges(self):
+        # the duplicate is found before the edge count is checked, though
+        # two edges are too few to connect four vertices
+        for parse in (parse_edge_list, *PARSERS):
+            with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
+                parse("4 2\n0 1\n1 0\n", connected=True)
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())

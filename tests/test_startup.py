@@ -13,6 +13,7 @@ import pytest
 
 import paramdiam
 from paramdiam import from_edge_list, save_edge_list
+from paramdiam.cli import _pick_auto
 from paramdiam.constructions import gen_tree_plus_k
 from paramdiam.graph import LIST_PARSE_MAX_EDGES
 
@@ -192,6 +193,28 @@ def test_small_solve_loads_no_numpy(settling_file, algo):
     # is not needed either
     out = solve_in_process(settling_file, algo, ON_DEMAND + ("numpy",))
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
+@pytest.fixture
+def grid_file(tmp_path):
+    """A 6 x 6 grid (k = 25), which ``auto`` routes to ``msbfs``."""
+    path = str(tmp_path / "grid.el")
+    edges = [(v, v + 1) for v in range(36) if (v + 1) % 6] + [(v, v + 6) for v in range(30)]
+    g = from_edge_list(edges, 36)
+    assert _pick_auto(g) == "msbfs"
+    save_edge_list(g, path)
+    return path
+
+
+@pytest.mark.parametrize("algo", ["auto", "msbfs", "bounded", "naive"])
+def test_solve_off_the_fes_route_loads_no_fes(grid_file, algo):
+    out = solve_in_process(grid_file, algo, ("paramdiam.fes",))
+    assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
+def test_fes_route_loads_fes(grid_file):
+    out = solve_in_process(grid_file, "fes", ("paramdiam.fes",))
+    assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": ["paramdiam.fes"]}
 
 
 def test_solve_above_the_list_parse_cutoff_loads_numpy_and_agrees(tmp_path):
