@@ -1,12 +1,11 @@
 """Exact graph diameter through parameterized algorithms.
 
 The package bundles a small graph core, structural parameter estimators,
-four exact diameter solvers keyed to different parameters, two exact
-solvers that need no parameter (``solve_bounded``, which prunes BFS
-sources with eccentricity bounds, and ``solve_certified``, which runs those
-bounds under a pass budget and certifies the rest with a multi-source
-bit-parallel BFS), lower-bound style graph constructions,
-and a CLI wrapping all of it.
+four exact diameter solvers keyed to different parameters, one exact
+solver that needs no parameter (``solve_certified``, which prunes BFS
+sources with eccentricity bounds under a pass budget and certifies the rest
+with a multi-source bit-parallel BFS), lower-bound style graph
+constructions, and a CLI wrapping all of it.
 
 The package root exports the solvers, the graph type, edge-list I/O and
 the error types; everything else is imported from its submodule
@@ -41,7 +40,6 @@ _SUBMODULE = {
     "naive_diameter": "graph",
     "parse_edge_list": "graph",
     "save_edge_list": "graph",
-    "solve_bounded": "graph",
     "solve_certified": "graph",
     "solve_clique_modulator": "deletion",
     "solve_cograph": "cograph",

@@ -11,16 +11,15 @@ both short:
   no numpy at module level.  ``fes``, ``params``, ``cograph``, ``hindex``, ``deletion`` and
   ``constructions`` are imported by the subcommand or ``--algo`` branch
   that runs them, so ``auto`` loads ``fes`` only on a graph it routes
-  there, and ``msbfs``, ``bounded`` and ``naive`` never load it.
+  there, and ``msbfs`` and ``naive`` never load it.
 - numpy loads only when a step needs it: an edge list of at least
   ``graph.LIST_PARSE_MAX_EDGES`` edges, fes's case sweeps when its core
   bounds do not settle, or an on-demand solver.  ``solve`` on a smaller
-  input by ``auto``, ``fes``, ``msbfs`` or ``bounded`` usually runs
-  without it.
-- ``solve`` and ``params`` need a connected graph, so a header of n >= 2
-  vertices and fewer than n - 1 edges exits 3 before any per-vertex
-  allocation.  A malformed text, or an edge out of range, a self-loop or a
-  duplicate edge, exits 2 first.
+  input by ``auto``, ``fes`` or ``msbfs`` usually runs without it.
+- ``solve``, ``params`` and the ``--input`` of ``generate thm1|thm4``
+  need a connected graph, so a header of n >= 2 vertices and fewer than
+  n - 1 edges exits 3 before any per-vertex allocation.  A malformed text,
+  or an edge out of range, a self-loop or a duplicate edge, exits 2 first.
 - Loading keeps no parse temporary past the step that uses it (see
   ``graph.parse_edge_list``), so what a ``solve`` holds when its solver
   starts is its graph, and the parse peaks at about twice the graph.
@@ -56,7 +55,6 @@ from .graph import (
     load_edge_list,
     naive_diameter,
     save_edge_list,
-    solve_bounded,
     solve_certified,
 )
 
@@ -67,7 +65,7 @@ EXIT_DISCONNECTED = 3
 EXIT_BAD_MODULATOR = 4
 EXIT_VERIFY_MISMATCH = 5
 
-ALGOS = ("auto", "naive", "bounded", "msbfs", "fes", "cograph", "hindex-diam", "clique")
+ALGOS = ("auto", "naive", "msbfs", "fes", "cograph", "hindex-diam", "clique")
 MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 
@@ -108,8 +106,6 @@ def _pick_auto(g: Graph) -> str:
 def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple[int, dict]:
     if algo == "naive":
         return naive_diameter(g), {}
-    if algo == "bounded":
-        return solve_bounded(g, trace), {}
     if algo == "msbfs":
         return solve_certified(g, trace), {}
     if algo == "fes":
@@ -197,26 +193,21 @@ def cmd_generate(args) -> int:
 
     family = args.family
     sidecar = None
-    if family == "thm1":
-        out = bipartite_girth_construction(load_edge_list(args.input))
-        g, sidecar = out.graph, {"relation": out.relation, "witnesses": out.witnesses}
-    elif family == "thm4":
-        out = bisection_construction(load_edge_list(args.input))
+    if family in ("thm1", "thm4"):
+        build = bipartite_girth_construction if family == "thm1" else bisection_construction
+        out = build(load_edge_list(_required(args, "input"), connected=True))
         g, sidecar = out.graph, {"relation": out.relation, "witnesses": out.witnesses}
     elif family == "thm6":
-        with open(args.cnf, "r", encoding="utf-8") as fh:
+        with open(_required(args, "cnf"), "r", encoding="utf-8") as fh:
             formula = parse_dimacs_cnf(fh.read())
         out = sat_to_diameter(formula)
         g, sidecar = out.graph, {"relation": out.relation, "witnesses": out.witnesses}
     elif family == "tree-plus-k":
-        _require_seed(args)
-        g = gen_tree_plus_k(args.n, args.k, args.seed)
+        g = gen_tree_plus_k(args.n, args.k, _required(args, "seed"))
     elif family == "cograph-plus":
-        _require_seed(args)
-        g = gen_random_cograph_plus(args.n, args.extra, args.seed)
+        g = gen_random_cograph_plus(args.n, args.extra, _required(args, "seed"))
     elif family == "er":
-        _require_seed(args)
-        g = gen_connected_er(args.n, args.p, args.seed)
+        g = gen_connected_er(args.n, args.p, _required(args, "seed"))
     else:  # pragma: no cover - argparse restricts choices
         raise ParamDiamError(f"unknown family {family!r}")
     save_edge_list(g, args.out, comment=f"paramdiam generate {family}")
@@ -226,9 +217,12 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _require_seed(args) -> None:
-    if args.seed is None:
-        raise ParamDiamError(f"--seed is required for family {args.family!r}")
+def _required(args, option: str):
+    """The value of ``--option``, which the family being generated needs."""
+    value = getattr(args, option)
+    if value is None:
+        raise ParamDiamError(f"--{option} is required for family {args.family!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,21 +22,21 @@ searched from, and an interpreted loop per source is then all the cost: one
 C-level OR moves thousands of searches along an edge.  Only
 :func:`solve_certified` calls it, and every public function here is pure.
 
-Three diameter solvers live here: :func:`naive_diameter`, one BFS per
-vertex and the reference oracle for every other solver,
-:func:`solve_bounded`, which needs no structural parameter and prunes BFS
-sources with eccentricity bounds, and :func:`solve_certified`, which runs
-those bounds under a pass budget and certifies the vertices they leave with
-:func:`_ms_bfs`.  The bounds loop, :func:`bounding_diameters`, takes vertex
-weights, so it also bounds the weighted core that ``solve_fes`` reduces to.
-It runs on Python lists, with C-level ``map``, ``min`` and ``max`` over the
-candidates and updates written only where a bound moves.
+Two diameter solvers live here: :func:`naive_diameter`, one BFS per
+vertex and the reference oracle for every other solver, and
+:func:`solve_certified`, which needs no structural parameter: it prunes BFS
+sources with eccentricity bounds under a pass budget and certifies the
+vertices they leave with :func:`_ms_bfs`.  The bounds loop,
+:func:`bounding_diameters`, takes vertex weights, so it also bounds the
+weighted core that ``solve_fes`` reduces to.  It runs on Python lists,
+with C-level ``map``, ``min`` and ``max`` over the candidates and updates
+written only where a bound moves.
 
 numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
 lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
-parsed into lists, so ``solve`` on it, by ``naive``, ``bounded``,
-``msbfs`` or a ``fes`` run whose core bounds settle, never loads numpy.
+parsed into lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a
+``fes`` run whose core bounds settle, never loads numpy.
 
 Both parsers and both graph builders drop each temporary as soon as the
 step that uses it is done: the lines, the tokens, the parsed values and the
@@ -517,21 +517,6 @@ def _put(target: list, at: Iterable[int], values: Iterable) -> None:
     deque(map(target.__setitem__, at, values), maxlen=0)
 
 
-def solve_bounded(g: Graph, trace: TraceSink = None) -> int:
-    """Exact diameter by :func:`bounding_diameters` with every pen 0.
-
-    ``trace`` gets one final event: the BFS passes made and the lower and
-    upper bounds on the diameter, which are then equal.
-    """
-    if g.n == 0:
-        raise VertexRangeError("diameter undefined for the empty graph")
-    lower, upper, passes, _ = bounding_diameters(g, [0] * g.n)
-    best = max(lower)
-    if trace is not None:
-        trace({"passes": passes, "lower": best, "upper": max(upper)})
-    return best
-
-
 def solve_certified(g: Graph, trace: TraceSink = None) -> int:
     """Exact diameter: eccentricity bounds first, then :func:`_ms_bfs` over what they leave.
 
@@ -542,8 +527,8 @@ def solve_certified(g: Graph, trace: TraceSink = None) -> int:
     the best lower bound, are then searched in chunks of at most
     :func:`_ms_bfs_width` sources, largest upper bound first, and a chunk
     leaves out every candidate that the chunks before it have settled.
-    When the memory budget does not fit one source, the bounds run until
-    they meet, as in :func:`solve_bounded`.
+    When the memory budget does not fit one source, the bounds run with no
+    pass budget until they meet, which is plain BoundingDiameters.
 
     ``trace`` gets one final event: the BFS passes, the candidates the
     bounds left, the kernel's chunks and its rounds summed over them, and

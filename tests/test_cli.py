@@ -19,7 +19,6 @@ from paramdiam import (
     load_edge_list,
     naive_diameter,
     save_edge_list,
-    solve_bounded,
 )
 from paramdiam.constructions import (
     bipartite_girth_construction,
@@ -30,7 +29,7 @@ from paramdiam.constructions import (
     sat_to_diameter,
 )
 from paramdiam.cli import ALGOS, _pick_auto, main
-from test_graph import graphs, random_3cnf
+from test_graph import graphs, random_3cnf, solve_bounds_alone
 
 
 @pytest.fixture
@@ -91,21 +90,6 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["diameter"] == 3
 
-    def test_bounded(self, capsys, path_graph):
-        code, out, _ = run(capsys, "solve", path_graph, "--algo", "bounded", "--verify")
-        assert code == 0
-        rep = json.loads(out)
-        assert rep["diameter"] == 3 and rep["verify"] == "match"
-
-    def test_bounded_trace_is_one_final_event(self, capsys, path_graph):
-        code, out, err = run(capsys, "solve", path_graph, "--algo", "bounded", "--trace")
-        assert code == 0
-        assert json.loads(out)["diameter"] == 3
-        events = [json.loads(line) for line in err.splitlines()]
-        assert len(events) == 1
-        assert events[0]["lower"] == events[0]["upper"] == 3
-        assert 1 <= events[0]["passes"] <= 4
-
     def test_msbfs_trace_is_one_final_event(self, capsys, path_graph):
         code, out, err = run(capsys, "solve", path_graph, "--algo", "msbfs", "--trace")
         assert code == 0
@@ -125,10 +109,12 @@ class TestSolve:
         assert out == "" and "needs --algo cograph|hindex-diam|clique, not" in err
 
     def test_deletion_is_not_an_algorithm(self, capsys, path_graph):
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", path_graph, "--algo", "deletion"])
-        assert exc.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        # nor is bounded: the bounds alone are a route inside msbfs
+        for algo in ("deletion", "bounded"):
+            with pytest.raises(SystemExit) as exc:
+                main(["solve", path_graph, "--algo", algo])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
     def test_exit_code_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.el"
@@ -196,6 +182,14 @@ class TestGenerate:
             capsys, "generate", "tree-plus-k", "--out", str(tmp_path / "g.el")
         )
         assert code == 1 and "seed" in err
+
+    @pytest.mark.parametrize(
+        "family, option", [("thm1", "input"), ("thm4", "input"), ("thm6", "cnf")]
+    )
+    def test_construction_requires_its_input(self, capsys, tmp_path, family, option):
+        code, out, err = run(capsys, "generate", family, "--out", str(tmp_path / "g.el"))
+        assert code == 1
+        assert out == "" and err == f"error: --{option} is required for family {family!r}\n"
 
     def test_tree_plus_k(self, capsys, tmp_path):
         out_path = str(tmp_path / "g.el")
@@ -386,7 +380,7 @@ def family_instances(draw):
 @settings(max_examples=120, deadline=None)
 @given(family_instances())
 def test_generated_families_match_networkx(g):
-    """``solve --algo auto``, ``solve --algo msbfs`` and ``solve_bounded``
+    """``solve --algo auto``, ``solve --algo msbfs`` and the bounds alone
     give networkx's diameter on the generator families and constructions."""
     import networkx as nx
 
@@ -394,7 +388,7 @@ def test_generated_families_match_networkx(g):
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
     want = nx.diameter(ref)
-    assert solve_bounded(g) == want
+    assert solve_bounds_alone(g) == want
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "g.el")
         save_edge_list(g, path)
@@ -424,11 +418,17 @@ def run_in_1_gib(*argv):
     return proc.returncode
 
 
-@pytest.mark.parametrize("command", ["solve", "params"])
+@pytest.mark.parametrize("command", ["solve", "params", "generate thm1", "generate thm4"])
 def test_header_too_sparse_to_connect_exits_3_before_allocating(tmp_path, command):
     huge = tmp_path / "huge.el"
     huge.write_text("1000000000 0\n")
     small = tmp_path / "small.el"
     small.write_text("3 2\n0 1\n1 2\n")
-    assert run_in_1_gib(command, str(small)) == 0  # the cap leaves room for a run
-    assert run_in_1_gib(command, str(huge)) == 3
+
+    def argv(path):
+        if command.startswith("generate"):
+            return [*command.split(), "--input", str(path), "--out", str(tmp_path / "out.el")]
+        return [command, str(path)]
+
+    assert run_in_1_gib(*argv(small)) == 0  # the cap leaves room for a run
+    assert run_in_1_gib(*argv(huge)) == 3

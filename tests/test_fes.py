@@ -11,7 +11,7 @@ from paramdiam import (
     DisconnectedGraphError,
     from_edge_list,
     naive_diameter,
-    solve_bounded,
+    solve_certified,
     solve_fes,
 )
 from paramdiam.constructions import gen_connected_er, gen_tree_plus_k
@@ -539,7 +539,7 @@ def weighted_eccentricities(g, pen):
 
 
 class TestBoundingDiameters:
-    """The loop behind solve_bounded, with the weights and pool of the fes core."""
+    """The loop behind solve_certified, with the weights and pool of the fes core."""
 
     @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=10, connected_only=True), st.data())
@@ -604,7 +604,8 @@ def check_core_cost(g, monkeypatch):
     cost gate: the event counts every BFS pass over the core but the one
     connectivity check on it, and there are at most two per high vertex.
     A core has at most 2(k - 1) high vertices, k = m - n + 1, so at most
-    4(k - 1) passes: the bound ``auto`` weighs against bounded's n.
+    4(k - 1) passes: the bound ``auto`` weighs against the n passes that
+    the bounds alone may take.
     With no event g reduced to one vertex, and no BFS ran at all."""
     kernel = paramdiam.graph._bfs
     calls = []
@@ -712,6 +713,6 @@ class TestCoreBounds:
     def test_sparse_cyclic_cores_settle_in_a_quarter_of_case1(self, k, seed, monkeypatch):
         g = gen_tree_plus_k(20000, k, seed)
         got, event = check_core_cost(g, monkeypatch)
-        assert got == solve_bounded(g)
+        assert got == solve_certified(g)
         assert event["fallback"] is None
         assert 4 * event["passes"] <= event["high"]

@@ -22,7 +22,6 @@ from paramdiam import (
     from_edge_list,
     naive_diameter,
     parse_edge_list,
-    solve_bounded,
     solve_certified,
 )
 from paramdiam.constructions import (
@@ -295,15 +294,27 @@ def bounded_corpus():
     return graphs
 
 
+def solve_bounds_alone(g, trace=None):
+    """:func:`solve_certified` with a memory budget that fits no MS-BFS
+    source: plain BoundingDiameters, run until the bounds meet."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("paramdiam.graph.MS_BFS_MAX_BYTES", 0)
+        assert g.n == 0 or _ms_bfs_width(g.n) == 0
+        return solve_certified(g, trace)
+
+
 class TestSolveBounded:
+    """The route of :func:`solve_certified` that runs the bounds alone."""
+
     @pytest.mark.parametrize("g", bounded_corpus())
     def test_seeded_corpus_matches_both_oracles(self, g):
         events = []
-        got = solve_bounded(g, events.append)
+        got = solve_bounds_alone(g, events.append)
         assert got == naive_diameter(g) == diameter_floyd(g)
-        assert len(events) == 1
-        assert events[0]["lower"] == events[0]["upper"] == got
-        assert 1 <= events[0]["passes"] <= g.n
+        (event,) = events
+        assert event["lower"] == event["upper"] == got
+        assert event["candidates"] == event["chunks"] == event["rounds"] == 0
+        assert 1 <= event["passes"] <= g.n
 
     def test_seeded_corpus_passes_unchanged(self):
         # recorded before the loop took weights, a source pool and a budget;
@@ -311,21 +322,21 @@ class TestSolveBounded:
         passes = []
         for g in bounded_corpus():
             events = []
-            solve_bounded(g, events.append)
+            solve_bounds_alone(g, events.append)
             passes.append(events[0]["passes"])
         assert passes == [2, 4, 7, 6, 4, 3, 14, 3, 3, 6, 19, 8, 4, 4, 3, 6, 3]
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(connected_only=True))
     def test_matches_floyd_warshall(self, g):
-        assert solve_bounded(g) == naive_diameter(g) == diameter_floyd(g)
+        assert solve_bounds_alone(g) == naive_diameter(g) == diameter_floyd(g)
 
     @pytest.mark.parametrize("g", [
         circulant(7, 1), circulant(8, 1), circulant(30, 1), circulant(31, 1),
         circulant(40, 3), from_edge_list([(i, j) for i in range(6) for j in range(i)], 6),
     ], ids=["C7", "C8", "C30", "C31", "C40-3", "K6"])
     def test_vertex_transitive(self, g):
-        assert solve_bounded(g) == naive_diameter(g) == diameter_floyd(g)
+        assert solve_bounds_alone(g) == naive_diameter(g) == diameter_floyd(g)
 
     def test_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -336,32 +347,32 @@ class TestSolveBounded:
             ref = nx.Graph()
             ref.add_nodes_from(range(g.n))
             ref.add_edges_from(g.edges())
-            assert solve_bounded(g) == nx.diameter(ref)
+            assert solve_bounds_alone(g) == nx.diameter(ref)
 
         check()
 
     def test_single_vertex(self):
-        assert solve_bounded(from_edge_list([], 1)) == 0
+        assert solve_bounds_alone(from_edge_list([], 1)) == 0
 
     def test_rejects_empty_graph(self):
         with pytest.raises(VertexRangeError):
-            solve_bounded(from_edge_list([], 0))
+            solve_bounds_alone(from_edge_list([], 0))
 
     def test_rejects_disconnected_graph(self):
         with pytest.raises(DisconnectedGraphError):
-            solve_bounded(from_edge_list([(0, 1), (2, 3)], 4))
+            solve_bounds_alone(from_edge_list([(0, 1), (2, 3)], 4))
 
 
 def test_much_faster_than_naive_on_thm6():
     g = sat_to_diameter(random_3cnf(12, 50, 0)).graph
-    assert solve_bounded(g) == naive_diameter(g)
-    assert 5 * best_of_three(solve_bounded, g) <= best_of_three(naive_diameter, g)
+    assert solve_bounds_alone(g) == naive_diameter(g)
+    assert 5 * best_of_three(solve_bounds_alone, g) <= best_of_three(naive_diameter, g)
 
 
 def test_no_pruning_within_a_quarter_of_naive():
     g = circulant(500, 21)
-    assert solve_bounded(g) == naive_diameter(g)
-    assert best_of_three(solve_bounded, g) <= 1.25 * best_of_three(naive_diameter, g)
+    assert solve_bounds_alone(g) == naive_diameter(g)
+    assert best_of_three(solve_bounds_alone, g) <= 1.25 * best_of_three(naive_diameter, g)
 
 
 def test_no_pruning_takes_at_most_n_passes(monkeypatch):
@@ -376,7 +387,7 @@ def test_no_pruning_takes_at_most_n_passes(monkeypatch):
 
     monkeypatch.setattr("paramdiam.graph._bfs", counted)
     events = []
-    solve_bounded(g, events.append)
+    solve_bounds_alone(g, events.append)
     (event,) = events
     assert event["lower"] == event["upper"]
     assert event["passes"] == len(calls) <= g.n
@@ -493,8 +504,8 @@ class TestSolveCertified:
             solve_certified(from_edge_list([(0, 1), (2, 3)], 4))
 
     def test_stalled_bounds_hand_over_to_one_chunk(self, monkeypatch):
-        """Where solve_bounded makes over a thousand passes, the route makes
-        at most 2 ecc(first source) + 1, then one kernel call."""
+        """Where the bounds alone make over a thousand passes, the route
+        makes at most 2 ecc(first source) + 1, then one kernel call."""
         g = gen_tree_plus_k(5000, 15000, 1)
         want = naive_diameter(g)
         calls = count_kernel_calls(monkeypatch)
@@ -509,7 +520,7 @@ class TestSolveCertified:
         g = grid(60, 60)
         want = naive_diameter(g)
         bounded = []
-        solve_bounded(g, bounded.append)
+        solve_bounds_alone(g, bounded.append)
         calls = count_kernel_calls(monkeypatch)
         events = []
         assert solve_certified(g, events.append) == want
@@ -530,7 +541,7 @@ class TestSolveCertified:
     def test_budget_below_one_bit_per_vertex_keeps_bounding(self, monkeypatch):
         g = gen_connected_er(300, 0.03, 1)
         bounded = []
-        want = solve_bounded(g, bounded.append)
+        want = solve_bounds_alone(g, bounded.append)
         monkeypatch.setattr("paramdiam.graph.MS_BFS_MAX_BYTES", g.n // 8 - 1)
         assert _ms_bfs_width(g.n) == 0
         calls = count_kernel_calls(monkeypatch)

@@ -39,7 +39,6 @@ EXPORTS = (
     "naive_diameter",
     "parse_edge_list",
     "save_edge_list",
-    "solve_bounded",
     "solve_certified",
     "solve_clique_modulator",
     "solve_cograph",
@@ -179,7 +178,7 @@ def solve_in_process(path, algo, watched):
     )
 
 
-@pytest.mark.parametrize("algo", ["auto", "fes", "bounded"])
+@pytest.mark.parametrize("algo", ["auto", "fes", "msbfs"])
 def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, algo):
     # the 8-cycle with a chord takes fes's fallback through cases 1 and 3,
     # whose numpy imports sit inside their functions
@@ -187,7 +186,7 @@ def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, alg
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
 
 
-@pytest.mark.parametrize("algo", ["auto", "fes", "bounded", "msbfs"])
+@pytest.mark.parametrize("algo", ["auto", "fes", "msbfs"])
 def test_small_solve_loads_no_numpy(settling_file, algo):
     # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
     # is not needed either
@@ -206,7 +205,7 @@ def grid_file(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("algo", ["auto", "msbfs", "bounded", "naive"])
+@pytest.mark.parametrize("algo", ["auto", "msbfs", "naive"])
 def test_solve_off_the_fes_route_loads_no_fes(grid_file, algo):
     out = solve_in_process(grid_file, algo, ("paramdiam.fes",))
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
