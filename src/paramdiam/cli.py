@@ -14,12 +14,15 @@ both short:
   there, and ``msbfs`` and ``naive`` never load it.
 - numpy loads only when a step needs it: an edge list of at least
   ``graph.LIST_PARSE_MAX_EDGES`` edges, fes's case sweeps when its core
-  bounds do not settle, or an on-demand solver.  ``solve`` on a smaller
-  input by ``auto``, ``fes`` or ``msbfs`` usually runs without it.
+  bounds do not settle, or the ``cograph`` and ``hindex-diam`` solvers.
+  ``solve`` on a smaller input runs without it by ``clique`` or
+  ``naive``, and usually by ``auto``, ``fes`` or ``msbfs``.
 - ``solve``, ``params`` and the ``--input`` of ``generate thm1|thm4``
   need a connected graph, so a header of n >= 2 vertices and fewer than
-  n - 1 edges exits 3 before any per-vertex allocation.  A malformed text,
-  or an edge out of range, a self-loop or a duplicate edge, exits 2 first.
+  n - 1 edges exits 3 before any per-vertex allocation.  A malformed or
+  non-UTF-8 text, or an edge out of range, a self-loop or a duplicate
+  edge, exits 2 first.  So does a non-UTF-8 CNF file; a non-UTF-8
+  ``--modulator`` file exits 4.
 - Loading keeps no parse temporary past the step that uses it (see
   ``graph.parse_edge_list``), so what a ``solve`` holds when its solver
   starts is its graph, and the parse peaks at about twice the graph.
@@ -45,6 +48,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .errors import (
+    CnfParseError,
     DisconnectedGraphError,
     GraphInputError,
     InvalidModulatorError,
@@ -52,6 +56,7 @@ from .errors import (
 )
 from .graph import (
     Graph,
+    _read_text,
     load_edge_list,
     naive_diameter,
     save_edge_list,
@@ -70,8 +75,7 @@ MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 
 def _load_modulator(path: str) -> set[int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        toks = fh.read().split()
+    toks = _read_text(path, InvalidModulatorError).split()
     try:
         return {int(t) for t in toks}
     except ValueError as exc:
@@ -198,8 +202,7 @@ def cmd_generate(args) -> int:
         out = build(load_edge_list(_required(args, "input"), connected=True))
         g, sidecar = out.graph, {"relation": out.relation, "witnesses": out.witnesses}
     elif family == "thm6":
-        with open(_required(args, "cnf"), "r", encoding="utf-8") as fh:
-            formula = parse_dimacs_cnf(fh.read())
+        formula = parse_dimacs_cnf(_read_text(_required(args, "cnf"), CnfParseError))
         out = sat_to_diameter(formula)
         g, sidecar = out.graph, {"relation": out.relation, "witnesses": out.witnesses}
     elif family == "tree-plus-k":

@@ -61,6 +61,7 @@ from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
     GraphInputError,
+    ParamDiamError,
     SelfLoopError,
     VertexRangeError,
 )
@@ -128,48 +129,37 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
 def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``.
 
-    Checks every edge at once and raises for the first faulty one in input
-    order: an endpoint out of range, then a self-loop, then an edge whose
-    key lo * n + hi an earlier edge already has, found by a stable sort of
-    the keys.  With ``connected``, too few edges to connect n vertices
-    raise next.  The adjacency comes from one sort of both edge directions.
-    Each step's arrays are deleted once it is done, so none of them is
-    alive beside the Python adjacency.
+    The same checks, errors and order as :func:`_from_lists`.  Vectorised
+    scans find an endpoint out of range or a self-loop.  Both directions of
+    every edge become one key ``src * n + dst``, sorted in place, and a
+    duplicate edge shows as two equal neighbouring keys.  Whenever a check
+    fails, :func:`_raise_first_faulty_edge` names the first faulty edge in
+    input order.  With ``connected``, too few edges to connect n vertices
+    raise next.  The sorted keys, taken ``% n``, are the rows.
     """
     import numpy as np
 
     _check_vertex_count(n)
     u, v = pairs[:, 0], pairs[:, 1]
-    out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
-    key = np.where(
-        out, -1 - np.arange(len(pairs)), np.minimum(u, v) * n + np.maximum(u, v)
-    )
-    order = np.argsort(key, kind="stable")
-    ordered = key[order]
-    bad = out | (u == v)
-    bad[order[1:][ordered[1:] == ordered[:-1]]] = True
-    del key, order, ordered
-    if bad.any():
-        i = int(bad.argmax())
-        a, b = int(u[i]), int(v[i])
-        if out[i]:
-            raise VertexRangeError(f"edge ({a}, {b}) outside 0..{n - 1}")
-        if a == b:
-            raise SelfLoopError(f"self-loop at vertex {a}")
-        raise DuplicateEdgeError(f"duplicate edge ({a}, {b})")
-    del out, bad
+    m = len(pairs)
+    if m and (pairs.min() < 0 or pairs.max() >= n or (u == v).any()):
+        _raise_first_faulty_edge(u.tolist(), v.tolist(), n)
+    key = np.concatenate((u, v))
+    key *= n
+    key += np.concatenate((v, u))
+    key.sort()
+    if (key[1:] == key[:-1]).any():
+        _raise_first_faulty_edge(u.tolist(), v.tolist(), n)
     if connected:
-        _check_enough_edges(n, len(pairs))
-    src = np.concatenate((u, v))
-    dst = np.concatenate((v, u))
-    dst = dst[np.argsort(src * n + dst)]
-    ends = np.cumsum(np.bincount(src, minlength=n))
-    del src
-    nbrs = tuple(dst.tolist())
-    del dst
-    ends = ends.tolist()
+        _check_enough_edges(n, m)
+    ends = np.bincount(u, minlength=n)
+    ends += np.bincount(v, minlength=n)
+    ends = np.cumsum(ends).tolist()
+    np.remainder(key, n, out=key)
+    nbrs = tuple(key.tolist())
+    del key
     adjacency = tuple([nbrs[i:j] for i, j in zip([0] + ends, ends)])
-    return Graph(n, adjacency, len(pairs))
+    return Graph(n, adjacency, m)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -377,6 +367,8 @@ def require_connected(g: Graph) -> None:
 
 
 def eccentricity(g: Graph, v: int) -> int:
+    if not (0 <= v < g.n):
+        raise VertexRangeError(f"vertex {v} outside 0..{g.n - 1}")
     row = _bfs_dist(g.adjacency, g.n, v)
     ecc = max(row)
     if UNREACHABLE in row:
@@ -657,8 +649,9 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     text into tokens, drops the tokens once they are ints and the ints once
     they are split into the two endpoint lists, and :func:`_from_lists`
     finds duplicate edges in the rows it builds.  The numpy parser reads
-    one int64 array, and :func:`_from_pairs` deletes its check arrays before
-    it builds the rows.  Only the graph outlives the call.
+    one int64 array, and :func:`_from_pairs` sorts one array of edge keys,
+    finds duplicate edges in it and turns it into the rows.  Only the graph
+    outlives the call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
@@ -750,8 +743,16 @@ def format_edge_list(g: Graph, comment: str | None = None) -> str:
 
 def load_edge_list(path: str, connected: bool = False) -> Graph:
     """:func:`parse_edge_list` of the file at ``path``."""
+    return parse_edge_list(_read_text(path, EdgeListParseError), connected)
+
+
+def _read_text(path: str, error: type[ParamDiamError]) -> str:
+    """The text of the UTF-8 file at ``path``; raises ``error`` if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read(), connected)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def save_edge_list(g: Graph, path: str, comment: str | None = None) -> None:

@@ -27,7 +27,6 @@ from paramdiam.constructions import (
     is_satisfiable,
     sat_to_diameter,
 )
-from paramdiam.deletion import ApspMatrix, apsp_by_bfs, combine_apsp
 from paramdiam.fes import (
     WeightedDiameterInstance,
     apply_rr2,
@@ -84,14 +83,6 @@ def seeded_corpus(count_per_family: int):
     return instances
 
 
-def deletion_diameter(g) -> int:
-    k = clique_modulator_2approx(g)
-    rest = [v for v in range(g.n) if v not in k]
-    sub, order = induced_subgraph(g, rest)
-    base = apsp_by_bfs(sub)
-    return combine_apsp(g, set(k), ApspMatrix(tuple(order), base.dist)).diameter()
-
-
 def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     ok = True
@@ -102,7 +93,6 @@ def test_criterion_1_oracle_equivalence():
             and solve_cograph(g) == want
             and solve_hd(g) == want
             and solve_clique_modulator(g) == want
-            and deletion_diameter(g) == want
         ):
             ok = False
             break

@@ -176,6 +176,26 @@ class TestSolve:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv, bad, code",
+    [
+        (["solve", "{bad}"], "3 2\n0 1\n1 2 # \xff\n", 2),
+        (["params", "{bad}"], "3 2\n0 1\n1 2 # \xff\n", 2),
+        (["solve", "{path}", "--algo", "clique", "--modulator", "{bad}"], "1 \xff\n", 4),
+        (["generate", "thm6", "--cnf", "{bad}", "--out", "{out}"], "c \xff\np cnf 1 1\n1 0\n", 2),
+    ],
+    ids=["edge-list", "params", "modulator", "cnf"],
+)
+def test_non_utf8_input_is_one_error_line(capsys, tmp_path, path_graph, argv, bad, code):
+    bad_path = tmp_path / "bad.txt"
+    bad_path.write_bytes(bad.encode("latin-1"))
+    names = {"bad": str(bad_path), "path": path_graph, "out": str(tmp_path / "g.el")}
+    got, out, err = run(capsys, *(a.format(**names) for a in argv))
+    assert got == code
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 class TestGenerate:
     def test_random_family_requires_seed(self, capsys, tmp_path):
         code, _, err = run(

@@ -189,6 +189,12 @@ class TestBfsAndDiameter:
         assert naive_diameter(g) == 0
         assert eccentricity(g, 0) == 0
 
+    @pytest.mark.parametrize("v", [-1, 4])
+    def test_eccentricity_rejects_a_vertex_out_of_range(self, v):
+        g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
+        with pytest.raises(VertexRangeError):
+            eccentricity(g, v)
+
     def test_disconnected_markers(self):
         g = from_edge_list([(0, 1)], 3)
         assert bfs(g, 0) == (0, 1, UNREACHABLE)

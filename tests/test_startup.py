@@ -244,6 +244,11 @@ def test_module_entry_point_disables_and_freezes_the_gc(cycle_file):
     assert numpy_collectable is False
 
 
+def test_clique_solve_loads_neither_numpy_nor_dataclasses(cycle_file):
+    out = solve_in_process(cycle_file, "clique", ("numpy", "dataclasses"))
+    assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
+
+
 @pytest.mark.parametrize("algo", ["naive", "cograph", "hindex-diam", "clique"])
 def test_on_demand_solvers_run_in_a_new_process(cycle_file, algo):
     assert run_module("solve", cycle_file, "--algo", algo, "--verify")[0] == 0
