@@ -55,6 +55,7 @@ from .errors import (
     ParamDiamError,
 )
 from .graph import (
+    _TOKEN,
     Graph,
     _read_text,
     load_edge_list,
@@ -76,10 +77,13 @@ MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 def _load_modulator(path: str) -> set[int]:
     toks = _read_text(path, InvalidModulatorError).split()
+    # the edge-list token grammar: int() alone reads 1_0 as 10 and non-ASCII digits
     try:
-        return {int(t) for t in toks}
-    except ValueError as exc:
-        raise InvalidModulatorError(f"non-integer vertex id in {path}") from exc
+        if all(map(_TOKEN.fullmatch, toks)):
+            return set(map(int, toks))
+    except ValueError:  # more digits than int() reads
+        pass
+    raise InvalidModulatorError(f"non-integer vertex id in {path}")
 
 
 def _trace_sink(enabled: bool):

@@ -94,29 +94,6 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
     return CnfFormula(num_vars, tuple(clauses))
 
 
-def format_dimacs_cnf(formula: CnfFormula) -> str:
-    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(lit) for lit in clause) + " 0")
-    return "\n".join(lines) + "\n"
-
-
-def is_satisfiable(formula: CnfFormula) -> bool:
-    """Brute force over all assignments; intended for small formulas only."""
-    if formula.num_vars > 24:
-        raise GenerationError("brute-force SAT capped at 24 variables")
-    for bits in range(1 << formula.num_vars):
-        if all(
-            any(
-                (lit > 0) == bool(bits >> (abs(lit) - 1) & 1)
-                for lit in clause
-            )
-            for clause in formula.clauses
-        ):
-            return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Construction 1: bipartite double cover with pairing edges.
 # Vertex v_i splits into u_i = 2i and w_i = 2i + 1.

@@ -7,12 +7,14 @@ of that core with :func:`graph.bounding_diameters`, BFS sources drawn from
 the high vertices first.  On tree-plus-k graphs the bounds meet after a few
 dozen BFS passes, where the paper's algorithm makes one per high vertex.
 
-If they have not met after one pass per high vertex, three cases answer
-the core instead, reusing the distance rows of the high sources already
-searched, so a call never makes more than two passes per high vertex:
+If they have not met after one pass per high vertex, the paper's three
+cases finish the core.  By then every high vertex has been a source of the
+bounds or has left their candidates, so the bounds' best lower bound
+already covers the pairs touching a high vertex, and:
 
-1. pairs touching a high vertex, from one BFS per high vertex, kept as the
-   rows of an int32 numpy matrix (high x core vertices);
+1. case 1 only gathers the distance rows of the high vertices into an
+   int32 numpy matrix (high x core vertices), searching those the bounds
+   did not, so a call never makes more than two passes per high vertex;
 2. pairs inside one path, by an O(length) cyclic sweep per path;
 3. pairs in two different paths, by one sweep per path over the interiors
    of all later paths at once: an interior is reached only through its own
@@ -44,7 +46,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
 from .graph import (
-    UNREACHABLE,
     Graph,
     TraceSink,
     _bfs_dist,
@@ -334,16 +335,13 @@ def decompose(g: Graph) -> PathCycleDecomposition:
 
 
 def case1_high_bfs(
-    g: Graph,
-    pen: Sequence[int],
-    dec: PathCycleDecomposition,
-    known: dict[int, Sequence[int]] | None = None,
-) -> tuple[int, np.ndarray]:
-    """BFS per high vertex; best pen-weighted distance touching one, plus rows.
+    g: Graph, dec: PathCycleDecomposition, known: dict[int, Sequence[int]] | None = None
+) -> np.ndarray:
+    """The int32 matrix whose row ``r`` holds the distances from ``dec.high[r]``.
 
-    Row ``r`` of the returned int32 matrix holds the distances from
-    ``dec.high[r]`` to every vertex of ``g``.  A high vertex with a row in
-    ``known`` is not searched again; its row is moved out of ``known``.
+    A high vertex with a row in ``known`` is not searched again; its row is
+    moved out of ``known``.  The rows feed cases 2 and 3, which read the
+    distances between path endpoints and from them to path interiors.
     """
     import numpy as np
 
@@ -352,15 +350,7 @@ def case1_high_bfs(
     for r, v in enumerate(dec.high):
         row = known.pop(v, None)
         rows[r] = _bfs_dist(g.adjacency, g.n, v) if row is None else row
-    if rows.size and rows.min() == UNREACHABLE:
-        raise DisconnectedGraphError("reduced graph is not connected")
-    best = 0
-    pen_arr = np.asarray(pen, dtype=np.int32)
-    for v, row in zip(dec.high, rows):
-        score = row + pen_arr
-        score[v] = -1  # pairs exclude u == v
-        best = max(best, pen[v] + int(score.max()))
-    return best, rows
+    return rows
 
 
 def case2_same_path(pens: Sequence[int], endpoint_distance: int) -> int | None:
@@ -447,8 +437,10 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     ``trace`` gets the reduction rule events and then one ``core-bounds``
     event: the core's size, its high vertices, the bounds' BFS passes, and
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
-    settled the core.  Raises :class:`DisconnectedGraphError` when the
-    reduced core, and so ``g``, is disconnected.
+    settled the core.  On fallback the bounds' best still answers the pairs
+    touching a high vertex, and cases 2 and 3 the pairs of path interiors.
+    Raises :class:`DisconnectedGraphError` when the reduced core, and so
+    ``g``, is disconnected.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
@@ -475,10 +467,10 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
             "passes": passes,
             "fallback": None if settled else len(dec.high) - len(known),
         })
+    best = max(inst.s, best)
     if settled:
-        return max(inst.s, best)
-    s1, rows = case1_high_bfs(red, pen, dec, known)
-    best = max(inst.s, s1)
+        return best
+    rows = case1_high_bfs(red, dec, known)
     row_of = {v: r for r, v in enumerate(dec.high)}
     for path in dec.paths:
         pens = [pen[v] for v in path]

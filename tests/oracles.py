@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive and avoids the code paths it checks:
 distances come from Floyd-Warshall rather than BFS, components from
-union-find rather than traversal, and the structural searches enumerate
-subsets outright.  The modulator references are the
-peel-and-restart and quadratic versions that ``paramdiam.params`` replaced,
-kept to check that the single-pass versions return the same sets, and the
-edge-list references read text line by line and check edges one at a time,
-where ``paramdiam.graph`` works on whole arrays.
+union-find rather than traversal, the structural searches enumerate
+subsets outright, and ``is_satisfiable`` tries every assignment.  The
+modulator references are the peel-and-restart and quadratic versions that
+``paramdiam.params`` replaced, kept to check that the single-pass versions
+return the same sets, and the edge-list references read text line by line
+and check edges one at a time, where ``paramdiam.graph`` works on whole
+arrays.  ``format_dimacs_cnf`` writes the text the CNF parser reads back.
 
 The helpers at the end are the exceptions: they run on the package's BFS
 kernel, and no code in the package calls them.  ``bfs``, ``is_bipartite``
@@ -31,10 +32,12 @@ from paramdiam import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
+    GenerationError,
     Graph,
     SelfLoopError,
     VertexRangeError,
 )
+from paramdiam.constructions import CnfFormula
 from paramdiam.fes import WeightedDiameterInstance, _path_sweep
 from paramdiam.graph import (
     UNREACHABLE,
@@ -133,6 +136,30 @@ def min_clique_modulator_size(g: Graph) -> int:
             if all(not (rest_mask & ~masks[v] & ~(1 << v)) for v in rest):
                 return size
     raise AssertionError("unreachable: removing everything always works")
+
+
+def is_satisfiable(formula: CnfFormula) -> bool:
+    """Brute force over all assignments; intended for small formulas only."""
+    if formula.num_vars > 24:
+        raise GenerationError("brute-force SAT capped at 24 variables")
+    for bits in range(1 << formula.num_vars):
+        if all(
+            any(
+                (lit > 0) == bool(bits >> (abs(lit) - 1) & 1)
+                for lit in clause
+            )
+            for clause in formula.clauses
+        ):
+            return True
+    return False
+
+
+def format_dimacs_cnf(formula: CnfFormula) -> str:
+    """DIMACS text of ``formula``, for round trips through ``parse_dimacs_cnf``."""
+    lines = [f"p cnf {formula.num_vars} {len(formula.clauses)}"]
+    for clause in formula.clauses:
+        lines.append(" ".join(str(lit) for lit in clause) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 def max_weighted_pair_cyclic_quadratic(positions, weights, cycle_len):

@@ -24,7 +24,6 @@ from paramdiam.constructions import (
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
-    is_satisfiable,
     sat_to_diameter,
 )
 from paramdiam.fes import (
@@ -50,6 +49,7 @@ from oracles import (
     girth,
     has_induced_p4,
     is_bipartite,
+    is_satisfiable,
     min_clique_modulator_size,
     weighted_diameter_oracle,
 )

@@ -160,6 +160,38 @@ class TestSolve:
         )
         assert code == 4
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
+    def test_modulator_follows_the_edge_list_token_grammar(self, capsys, tmp_path, token):
+        # K_{2,9} on sides {1, 10} and the rest: removing either 1 or 10
+        # leaves a star, a cograph, so int() reading 1_0 as 10 or the
+        # Arabic-Indic one as 1 would pass as a valid modulator
+        p = str(tmp_path / "k29.el")
+        save_edge_list(
+            from_edge_list([(c, v) for c in (1, 10) for v in range(11) if v not in (1, 10)], 11),
+            p,
+        )
+        mod = tmp_path / "k.txt"
+        mod.write_text(token + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "solve", p, "--algo", "cograph", "--modulator", str(mod)
+        )
+        assert code == 4
+        assert out == "" and "non-integer vertex id" in err
+
+    def test_fes_fallback_runs_and_verifies(self, capsys, tmp_path):
+        # the bounds do not settle this core: cases 1-3 answer it
+        p = str(tmp_path / "g.el")
+        code, _, _ = run(
+            capsys,
+            "generate", "tree-plus-k", "--n", "300", "--k", "5", "--seed", "5", "--out", p,
+        )
+        assert code == 0
+        code, out, err = run(capsys, "solve", p, "--algo", "fes", "--trace", "--verify")
+        assert code == 0
+        assert json.loads(out)["verify"] == "match"
+        (event,) = [e for e in map(json.loads, err.splitlines()) if "phase" in e]
+        assert event["phase"] == "core-bounds" and event["fallback"] is not None
+
     def test_exit_code_empty_hub_set(self, capsys, tmp_path):
         p = str(tmp_path / "c5.el")
         save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), p)

@@ -16,17 +16,15 @@ from paramdiam.constructions import (
     CnfFormula,
     bipartite_girth_construction,
     bisection_construction,
-    format_dimacs_cnf,
     gen_connected_er,
     gen_random_cograph_plus,
     gen_tree_plus_k,
-    is_satisfiable,
     parse_dimacs_cnf,
     sat_to_diameter,
 )
 from paramdiam.graph import is_connected
 from paramdiam.params import find_induced_p4, neighbor_masks
-from oracles import girth, is_bipartite
+from oracles import format_dimacs_cnf, girth, is_bipartite, is_satisfiable
 from test_graph import graphs
 
 TRIANGLE_PLUS_TAIL = from_edge_list([(0, 1), (0, 2), (1, 2), (2, 3)], 4)

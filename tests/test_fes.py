@@ -461,7 +461,7 @@ def reduced_core(g):
 
 def case3_both_ways(red, pen, dec):
     """(max of case3_path_pair over all path pairs, case3_all_paths) of a core."""
-    _, rows = case1_high_bfs(red, pen, dec)
+    rows = case1_high_bfs(red, dec)
     row_of = {v: r for r, v in enumerate(dec.high)}
     paths = dec.paths
     pair_best = 0
@@ -520,14 +520,38 @@ class TestPathSweep:
     def test_case1_excludes_the_vertex_itself(self):
         # theta graph on high vertices 0 and 1, plus a pendant path of length
         # 10 on vertex 0: after reduction pen[0] = 10, so pairing 0 with
-        # itself would claim 20, while the true diameter is 10 + 2 = 12
+        # itself would claim 20, while the true diameter is 10 + 2 = 12; the
+        # bounds, which answer the pairs touching a high vertex, claim 12
         edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (0, 5)]
         edges += [(v, v + 1) for v in range(5, 14)]
         g = from_edge_list(edges, 15)
         red, pen, dec = reduced_core(g)
         assert 2 * max(pen) > 12
-        assert case1_high_bfs(red, pen, dec)[0] == 12
+        assert core_bounds(red, pen, dec)[0] == 12
         assert solve_fes(g) == naive_diameter(g) == 12
+
+
+def core_bounds(red, pen, dec):
+    """(best lower bound, settled, kept rows) of the bounds solve_fes runs on a core."""
+    pool = set(dec.high)
+    high = [v in pool for v in range(red.n)]
+    lower, upper, _, known = bounding_diameters(red, pen, high, len(dec.high))
+    best = max(p + e for p, e in zip(pen, lower))
+    return best, best == max(p + e for p, e in zip(pen, upper)), known
+
+
+def check_case1_covered(g):
+    """On a core the bounds leave unsettled: no high v's pen[v] + e(v) beats
+    the bounds' best, so case 1 need not score those pairs, and its rows are
+    the BFS rows of the high vertices, kept or searched anew."""
+    red, pen, dec = reduced_core(g)
+    best, settled, known = core_bounds(red, pen, dec)
+    assert not settled
+    ecc = weighted_eccentricities(red, pen)
+    assert max(pen[v] + ecc[v] for v in dec.high) <= best
+    rows = case1_high_bfs(red, dec, known)
+    assert rows.dtype == np.int32
+    assert [tuple(row) for row in rows.tolist()] == [bfs(red, v) for v in dec.high]
 
 
 def weighted_eccentricities(g, pen):
@@ -684,6 +708,8 @@ class TestCoreBounds:
         got, event = check_core_cost(g, monkeypatch)
         assert got == naive_diameter(g)
         assert event["core_n"] == g.n
+        if event["fallback"] is not None:
+            check_case1_covered(g)
 
     @pytest.mark.parametrize("rungs", [3, 4, 9])
     @pytest.mark.parametrize("subdivisions", [3, 10])
@@ -703,9 +729,13 @@ class TestCoreBounds:
             g = with_pending_cycles(tree, rng) if seed % 2 else tree
             got, event = check_core_cost(g, monkeypatch)
             assert got == naive_diameter(g)
-            if event is not None:
-                settled += event["fallback"] is None
-                fallen_back += event["fallback"] is not None
+            if event is None:
+                continue
+            if event["fallback"] is None:
+                settled += 1
+            else:
+                check_case1_covered(g)
+                fallen_back += 1
         assert settled >= 40 and fallen_back >= 2
 
     @pytest.mark.parametrize("k", [300, 400])
