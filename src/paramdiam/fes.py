@@ -1,10 +1,12 @@
 """Exact diameter for graphs with small feedback edge number.
 
 Pipeline: peel degree-one vertices and pending cycles with two weight-
-carrying reduction rules, decompose what is left into high-degree vertices,
-maximal paths and pending cycles, then bound the pen-weighted eccentricities
-of that core with :func:`graph.bounding_diameters`, BFS sources drawn from
-the high vertices first.  On tree-plus-k graphs the bounds meet after a few
+carrying reduction rules.  Each round compacts the survivors and decomposes
+them into high-degree vertices, maximal paths and pending cycles, and the
+cycles it finds are the ones the second rule peels.  The first round that
+finds none leaves the core, whose pen-weighted eccentricities
+:func:`graph.bounding_diameters` then bounds, BFS sources drawn from the
+high vertices first.  On tree-plus-k graphs the bounds meet after a few
 dozen BFS passes, where the paper's algorithm makes one per high vertex.
 
 If they have not met after one pass per high vertex, the paper's three
@@ -31,7 +33,11 @@ induced by the alive vertices).
 Connectivity is decided on the core, not on the input: neither rule
 changes the number of components, and each leaves every component at least
 one alive vertex, so one alive vertex means a connected input, and
-otherwise the input is connected exactly when the compacted core is.
+otherwise the input is connected exactly when the core is.  A connected
+core of two or more vertices has a high vertex, since a bare cycle is a
+pending cycle the rules peel, so a core without one is isolated vertices
+and is rejected.  Any other core is searched from a high vertex by the
+bounds' first BFS pass, which raises when that pass misses a vertex.
 
 Up to the core bounds everything runs on Python lists.  numpy is imported
 only by cases 1 and 3, so a run whose bounds settle never loads it.
@@ -51,7 +57,6 @@ from .graph import (
     _bfs_dist,
     bounding_diameters,
     induced_subgraph,
-    is_connected,
 )
 
 if TYPE_CHECKING:
@@ -233,76 +238,30 @@ def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
     inst.alive_count -= removed
 
 
-def _chains(degree, neighbors, vertices):
-    """Shared path/cycle walker for graphs with no degree-one vertices."""
-    high = [v for v in vertices if degree(v) >= 3]
-    paths: list[list[int]] = []
-    cycles: list[list[int]] = []
-    visited: set[int] = set()
-    for v in high:
-        for w in sorted(neighbors(v)):
-            if degree(w) >= 3:
-                if v < w:
-                    paths.append([v, w])
-                continue
-            if w in visited:
-                continue
-            chain = [v]
-            prev, cur = v, w
-            while True:
-                chain.append(cur)
-                if degree(cur) != 2:
-                    break
-                visited.add(cur)
-                nxt = next(x for x in neighbors(cur) if x != prev)
-                prev, cur = cur, nxt
-            if chain[-1] == v:
-                cycles.append(chain[:-1])
-            else:
-                paths.append(chain)
-    for v in vertices:
-        if degree(v) == 2 and v not in visited:
-            # candidate bare cycle, anchored at its smallest id; the walk
-            # can instead run into a leaf when the graph is not yet reduced
-            chain = [v]
-            visited.add(v)
-            prev, cur = v, min(neighbors(v))
-            is_cycle = True
-            while cur != v:
-                chain.append(cur)
-                visited.add(cur)
-                if degree(cur) != 2:
-                    is_cycle = False
-                    break
-                nxt = next(x for x in neighbors(cur) if x != prev)
-                prev, cur = cur, nxt
-            if is_cycle:
-                cycles.append(chain)
-    return high, paths, cycles
+def reduce_exhaustively(
+    inst: WeightedDiameterInstance, trace: TraceSink = None
+) -> tuple[Graph, list[int], PathCycleDecomposition] | None:
+    """Apply both rules until neither fits; returns the core, or None at one vertex.
 
-
-def find_pending_cycles(inst: WeightedDiameterInstance) -> list[list[int]]:
-    """All pending cycles of the current graph, each anchor-first."""
-    _, _, cycles = _chains(inst.degree, inst.neighbors, inst.alive_vertices())
-    return cycles
-
-
-def reduce_exhaustively(inst: WeightedDiameterInstance, trace: TraceSink = None) -> None:
-    """Apply both rules until neither fits: no degree-one vertex, no pending cycle.
-
-    Removing a cycle can drop its anchor to degree one, and peeling leaves
-    can merge maximal paths into new pending cycles, so the two phases
-    alternate until a fixed point.
+    Each round peels the degree-one vertices, compacts the survivors and
+    decomposes them, and the decomposition's pending cycles, mapped back to
+    input ids, are the round's pending-cycle removals.  Removing a cycle can
+    drop its anchor to degree one, and peeling leaves can merge maximal
+    paths into new pending cycles, so the rounds repeat until one finds no
+    cycle.  Its (compacted graph, pen per compacted id, decomposition) is
+    returned: a core with no degree-one vertex and no pending cycle.  None
+    means at most one vertex is left and ``inst.s`` is the answer.
     """
     while True:
         _rr1_exhaust(inst, trace)
         if inst.alive_count <= 1:
-            return
-        cycles = find_pending_cycles(inst)
-        if not cycles:
-            return
-        for cycle in cycles:
-            apply_rr2(inst, cycle, trace)
+            return None
+        red, order, pen = inst.compacted()
+        dec = decompose(red)
+        if not dec.cycles:
+            return red, pen, dec
+        for cycle in dec.cycles:
+            apply_rr2(inst, [order[v] for v in cycle], trace)
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +286,48 @@ class PathCycleDecomposition:
 
 
 def decompose(g: Graph) -> PathCycleDecomposition:
+    """The high vertices, maximal paths and pending cycles of ``g``.
+
+    Each path and each cycle hanging off a high vertex is walked once from
+    that vertex, neighbours in ascending order, so a pending cycle comes out
+    anchor first.  The degree-two vertices left over form bare-cycle
+    components, each anchored at its smallest id.
+    """
+    adjacency = g.adjacency
+    deg = list(map(len, adjacency))
+    if 1 in deg:
+        raise ContractViolationError("decompose requires no degree-one vertices")
+    high = [v for v in range(g.n) if deg[v] >= 3]
+    paths: list[list[int]] = []
+    cycles: list[list[int]] = []
+    visited = [False] * g.n
+
+    def walk(v: int, w: int) -> tuple[list[int], int]:
+        """v and the degree-two run entered through w, and where the run stops."""
+        chain = [v]
+        prev, cur = v, w
+        while cur != v and deg[cur] == 2:
+            chain.append(cur)
+            visited[cur] = True
+            x, y = adjacency[cur]
+            prev, cur = cur, (y if x == prev else x)
+        return chain, cur
+
+    for v in high:
+        for w in adjacency[v]:
+            if deg[w] >= 3:
+                if v < w:
+                    paths.append([v, w])
+            elif not visited[w]:
+                chain, end = walk(v, w)
+                if end == v:
+                    cycles.append(chain)
+                else:
+                    chain.append(end)
+                    paths.append(chain)
     for v in range(g.n):
-        if g.degree(v) == 1:
-            raise ContractViolationError("decompose requires no degree-one vertices")
-    high, paths, cycles = _chains(g.degree, g.neighbors, range(g.n))
+        if deg[v] == 2 and not visited[v]:
+            cycles.append(walk(v, adjacency[v][0])[0])
     return PathCycleDecomposition(high, paths, cycles)
 
 
@@ -440,19 +437,18 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     settled the core.  On fallback the bounds' best still answers the pairs
     touching a high vertex, and cases 2 and 3 the pairs of path interiors.
     Raises :class:`DisconnectedGraphError` when the reduced core, and so
-    ``g``, is disconnected.
+    ``g``, is disconnected: at once for a core of isolated vertices, else
+    from the bounds' first pass.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
     inst = WeightedDiameterInstance(g)
-    reduce_exhaustively(inst, trace)
-    if inst.alive_count <= 1:
+    core = reduce_exhaustively(inst, trace)
+    if core is None:
         return inst.s
-    red, _, pen = inst.compacted()
-    if not is_connected(red):
+    red, pen, dec = core
+    if not dec.high:
         raise DisconnectedGraphError("graph is not connected")
-    dec = decompose(red)
-    assert not dec.cycles, "pending cycles must not survive reduction"
     high = [False] * red.n
     for v in dec.high:
         high[v] = True

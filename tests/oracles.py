@@ -14,7 +14,9 @@ The helpers at the end are the exceptions: they run on the package's BFS
 kernel, and no code in the package calls them.  ``bfs``, ``is_bipartite``
 and ``girth`` serve the graph and construction tests; ``apply_rr1`` and
 ``case3_path_pair`` are the one-step rule and the one-pair sweep that
-``paramdiam.fes`` replaced with single loops, kept as their references; and
+``paramdiam.fes`` replaced with single loops, kept as their references;
+``find_pending_cycles`` finds the pending cycles of an instance that may
+still have leaves, which the package only looks for once none are left; and
 ``weighted_diameter_oracle`` is the brute-force weighted diameter that the
 reduction rules are checked against.
 """
@@ -415,6 +417,49 @@ def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -
             "pen_anchor": inst.pen[v],
         })
     return v
+
+
+def find_pending_cycles(inst: WeightedDiameterInstance) -> list[list[int]]:
+    """All pending cycles of the alive graph, each anchor first.
+
+    The cycle walk of ``paramdiam.fes.decompose`` on the live graph, which
+    may still have degree-one vertices: a chain from a high vertex back to
+    itself is a pending cycle, and a walk over degree-two vertices only is a
+    bare cycle anchored at its smallest id, unless it runs into a leaf.
+    """
+    degree, neighbors = inst.degree, inst.neighbors
+    cycles: list[list[int]] = []
+    visited: set[int] = set()
+    for v in inst.alive_vertices():
+        if degree(v) < 3:
+            continue
+        for w in neighbors(v):
+            if degree(w) >= 3 or w in visited:
+                continue
+            chain = [v]
+            prev, cur = v, w
+            while True:
+                chain.append(cur)
+                if degree(cur) != 2:
+                    break
+                visited.add(cur)
+                prev, cur = cur, next(x for x in neighbors(cur) if x != prev)
+            if chain[-1] == v:
+                cycles.append(chain[:-1])
+    for v in inst.alive_vertices():
+        if degree(v) == 2 and v not in visited:
+            chain = [v]
+            visited.add(v)
+            prev, cur = v, neighbors(v)[0]
+            while cur != v:
+                chain.append(cur)
+                visited.add(cur)
+                if degree(cur) != 2:
+                    break
+                prev, cur = cur, next(x for x in neighbors(cur) if x != prev)
+            else:
+                cycles.append(chain)
+    return cycles
 
 
 def case3_path_pair(

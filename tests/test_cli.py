@@ -144,11 +144,21 @@ class TestSolve:
         assert code == 3
 
     def test_exit_code_disconnected_fes(self, capsys, tmp_path):
-        p = tmp_path / "two-paths.el"
-        save_edge_list(from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5)], 6), str(p))
-        code, out, err = run(capsys, "solve", str(p), "--algo", "fes")
-        assert code == 3
-        assert out == "" and "error" in err
+        theta = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
+        cases = {
+            # the loader rejects too few edges before fes runs
+            "two-paths": ([(0, 1), (1, 2), (3, 4), (4, 5)], 6),
+            # fes's core is two isolated vertices
+            "two-triangles": ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),
+            # the core bounds' first pass misses the other theta
+            "two-thetas": (theta + [(u + 5, v + 5) for u, v in theta], 10),
+        }
+        for name, (edges, n) in cases.items():
+            p = tmp_path / f"{name}.el"
+            save_edge_list(from_edge_list(edges, n), str(p))
+            code, out, err = run(capsys, "solve", str(p), "--algo", "fes")
+            assert code == 3, name
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, name
 
     def test_exit_code_bad_modulator(self, capsys, tmp_path):
         p = str(tmp_path / "long.el")

@@ -23,7 +23,6 @@ from paramdiam.fes import (
     case2_same_path,
     case3_all_paths,
     decompose,
-    find_pending_cycles,
     max_weighted_pair_cyclic,
     reduce_exhaustively,
 )
@@ -217,10 +216,8 @@ class TestLeafPeel:
 class TestPendingCycleRule:
     def test_triangle_component(self):
         inst = instance([(0, 1), (1, 2), (2, 0)], 3, pen=[0, 2, 0])
-        (cycle,) = find_pending_cycles(inst)
-        assert cycle[0] == 0
         before = weighted_diameter_oracle(inst)
-        apply_rr2(inst, cycle)
+        apply_rr2(inst, [0, 1, 2])
         assert inst.alive_vertices() == [0]
         assert weighted_diameter_oracle(inst) == before
 
@@ -228,10 +225,8 @@ class TestPendingCycleRule:
         # C4 hanging off a high vertex through its anchor
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6)]
         inst = instance(edges, 7)
-        (cycle,) = find_pending_cycles(inst)
-        assert cycle[0] == 0 and set(cycle) == {0, 1, 2, 3}
         before = weighted_diameter_oracle(inst)
-        apply_rr2(inst, cycle)
+        apply_rr2(inst, [0, 1, 2, 3])
         assert weighted_diameter_oracle(inst) == before
         assert inst.pen[0] == 2  # opposite corner folded in
 
@@ -253,8 +248,7 @@ class TestPendingCycleRule:
         pen = [data.draw(st.integers(0, 5)) for _ in range(n)]
         inst = instance(sorted(set(edges)), n, pen=pen)
         before = weighted_diameter_oracle(inst)
-        found = [c for c in find_pending_cycles(inst) if len(c) == a]
-        apply_rr2(inst, found[0])
+        apply_rr2(inst, cycle)
         assert weighted_diameter_oracle(inst) == before
 
 
@@ -262,7 +256,7 @@ class TestReduceExhaustively:
     def test_tree_reduces_to_nothing(self):
         inst = instance([(0, 1), (1, 2), (2, 3), (2, 4)], 5)
         before = weighted_diameter_oracle(inst)
-        reduce_exhaustively(inst)
+        assert reduce_exhaustively(inst) is None
         assert inst.alive_count == 1
         assert inst.s == before
 
@@ -270,15 +264,18 @@ class TestReduceExhaustively:
         # two degree-3 vertices joined by three internally disjoint paths
         edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
         inst = instance(edges, 5)
-        reduce_exhaustively(inst)
+        red, pen, dec = reduce_exhaustively(inst)
         assert inst.alive_count == 5
+        assert red.adjacency == inst.graph.adjacency and pen == [0] * 5
+        assert dec.high == [0, 1] and dec.paths == [[0, 2, 1], [0, 3, 1], [0, 4, 1]]
+        assert not dec.cycles
 
     def test_tadpole_collapses(self):
         # path into a cycle: the rules alternate to a single vertex
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)]
         inst = instance(edges, 5)
         before = weighted_diameter_oracle(inst)
-        reduce_exhaustively(inst)
+        assert reduce_exhaustively(inst) is None
         assert inst.alive_count == 1
         assert inst.s == before
 
@@ -287,13 +284,17 @@ class TestReduceExhaustively:
     def test_preserves_answer_and_reaches_fixed_point(self, g):
         inst = WeightedDiameterInstance(g)
         before = weighted_diameter_oracle(inst)
-        reduce_exhaustively(inst)
+        core = reduce_exhaustively(inst)
         assert weighted_diameter_oracle(inst) == before
-        if inst.alive_count > 1:
+        if core is None:
+            assert inst.alive_count == 1
+        else:
+            red, _, dec = core
+            assert red.n == inst.alive_count > 1
             assert all(
                 inst.degree(v) >= 2 for v in inst.alive_vertices()
             )
-            assert not find_pending_cycles(inst)
+            assert not dec.cycles
 
 
 def with_pending_cycles(g, rng):
@@ -369,6 +370,21 @@ class TestDecompose:
         with pytest.raises(ContractViolationError):
             decompose(from_edge_list([(0, 1)], 2))
 
+    def test_pending_cycles_come_out_anchor_first(self):
+        # a triangle and a square hanging off vertex 5, the largest id
+        edges = [(5, 0), (0, 1), (1, 5), (5, 2), (2, 3), (3, 4), (4, 5)]
+        dec = decompose(from_edge_list(edges, 6))
+        assert dec.high == [5] and not dec.paths
+        assert dec.cycles == [[5, 0, 1], [5, 2, 3, 4]]
+
+    def test_bare_cycle_anchored_at_smallest_id(self):
+        # K4 on 0..3 beside the cycle 6-4-7-5-6
+        edges = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+        edges += [(6, 4), (4, 7), (7, 5), (5, 6)]
+        dec = decompose(from_edge_list(edges, 8))
+        assert dec.high == [0, 1, 2, 3]
+        assert dec.cycles == [[4, 6, 5, 7]]
+
     def test_partition_covers_everything(self):
         edges = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 1)]
         dec = decompose(from_edge_list(edges, 4))
@@ -427,6 +443,11 @@ class TestSolve:
             ([], 2),
             ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),  # two triangles
             ([(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1), (5, 6)], 7),  # theta + K2
+            (  # two thetas
+                [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
+                + [(5, 7), (7, 6), (5, 8), (8, 6), (5, 9), (9, 6)],
+                10,
+            ),
         ],
     )
     def test_rejects_disconnected(self, edges, n):
@@ -452,11 +473,9 @@ class TestSolve:
 
 
 def reduced_core(g):
-    """(core graph, pen, decomposition) of a graph after both reduction rules."""
-    inst = WeightedDiameterInstance(g)
-    reduce_exhaustively(inst)
-    red, _, pen = inst.compacted()
-    return red, pen, decompose(red)
+    """(core graph, pen, decomposition) of a graph after both reduction
+    rules, or None when they leave one vertex."""
+    return reduce_exhaustively(WeightedDiameterInstance(g))
 
 
 def case3_both_ways(red, pen, dec):
@@ -507,12 +526,12 @@ class TestPathSweep:
         checked = 0
         for seed in range(80):
             rng = random.Random(seed)
-            red, pen, dec = reduced_core(
+            core = reduced_core(
                 gen_tree_plus_k(rng.randrange(10, 60), rng.randrange(3, 12), seed)
             )
-            if sum(len(p) >= 3 for p in dec.paths) < 2:
+            if core is None or sum(len(p) >= 3 for p in core[2].paths) < 2:
                 continue
-            pair_best, swept = case3_both_ways(red, pen, dec)
+            pair_best, swept = case3_both_ways(*core)
             assert swept == pair_best
             checked += 1
         assert checked >= 40
@@ -625,8 +644,8 @@ class TestBoundingDiameters:
 
 def check_core_cost(g, monkeypatch):
     """solve_fes on g: (diameter, its core-bounds event or None), with the
-    cost gate: the event counts every BFS pass over the core but the one
-    connectivity check on it, and there are at most two per high vertex.
+    cost gate: the event counts every BFS pass solve_fes makes, all over
+    the core, and there are at most two per high vertex.
     A core has at most 2(k - 1) high vertices, k = m - n + 1, so at most
     4(k - 1) passes: the bound ``auto`` weighs against the n passes that
     the bounds alone may take.
@@ -647,7 +666,7 @@ def check_core_cost(g, monkeypatch):
         assert calls == []
         return got, None
     (event,) = bounds
-    passes = len(calls) - 1  # the connectivity check on the core
+    passes = len(calls)
     assert passes == event["passes"] + (event["fallback"] or 0)
     assert passes <= 2 * event["high"]
     k = g.m - g.n + 1
