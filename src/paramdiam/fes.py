@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import compress
-from operator import add
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
@@ -332,17 +331,17 @@ def decompose(g: Graph) -> PathCycleDecomposition:
 
 
 def case1_high_bfs(
-    g: Graph, dec: PathCycleDecomposition, known: dict[int, Sequence[int]] | None = None
+    g: Graph, dec: PathCycleDecomposition, known: dict[int, Sequence[int]]
 ) -> np.ndarray:
     """The int32 matrix whose row ``r`` holds the distances from ``dec.high[r]``.
 
-    A high vertex with a row in ``known`` is not searched again; its row is
-    moved out of ``known``.  The rows feed cases 2 and 3, which read the
-    distances between path endpoints and from them to path interiors.
+    ``known`` holds the rows the core bounds kept, by source.  A high vertex
+    with a row there is not searched again; its row is moved out of it.
+    The rows feed cases 2 and 3, which read the distances between path
+    endpoints and from them to path interiors.
     """
     import numpy as np
 
-    known = {} if known is None else known
     rows = np.empty((len(dec.high), g.n), dtype=np.int32)
     for r, v in enumerate(dec.high):
         row = known.pop(v, None)
@@ -434,8 +433,9 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     ``trace`` gets the reduction rule events and then one ``core-bounds``
     event: the core's size, its high vertices, the bounds' BFS passes, and
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
-    settled the core.  On fallback the bounds' best still answers the pairs
-    touching a high vertex, and cases 2 and 3 the pairs of path interiors.
+    left no candidate open and their best is the core's answer.  On
+    fallback that best still answers the pairs touching a high vertex, as
+    none is left open, and cases 2 and 3 the pairs of path interiors.
     Raises :class:`DisconnectedGraphError` when the reduced core, and so
     ``g``, is disconnected: at once for a core of isolated vertices, else
     from the bounds' first pass.
@@ -449,12 +449,9 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     red, pen, dec = core
     if not dec.high:
         raise DisconnectedGraphError("graph is not connected")
-    high = [False] * red.n
-    for v in dec.high:
-        high[v] = True
-    lower, upper, passes, known = bounding_diameters(red, pen, high, len(dec.high))
-    best = max(map(add, pen, lower))
-    settled = best == max(map(add, pen, upper))
+    high = [len(nbrs) >= 3 for nbrs in red.adjacency]  # exactly dec.high
+    best, left, passes, known = bounding_diameters(red, pen, high, len(dec.high))
+    settled = not left
     if trace is not None:
         trace({
             "phase": "core-bounds",

@@ -30,7 +30,9 @@ vertices they leave with :func:`_ms_bfs`.  The bounds loop,
 :func:`bounding_diameters`, takes vertex weights, so it also bounds the
 weighted core that ``solve_fes`` reduces to.  It runs on Python lists,
 with C-level ``map``, ``min`` and ``max`` over the candidates and updates
-written only where a bound moves.
+written only where a bound moves, and keeps bounds only for the candidates
+still open: it returns its best lower bound on the diameter and the open
+candidates with their upper bounds, which is all its two callers read.
 
 numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
@@ -53,7 +55,7 @@ import warnings
 from bisect import bisect_left
 from collections import deque
 from itertools import compress, count, repeat
-from operator import add, eq, gt, lt, mul, not_, sub
+from operator import add, eq, gt, lt, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -389,7 +391,7 @@ def bounding_diameters(
     pen: Sequence[int],
     pool: Sequence[bool] | None = None,
     budget: int | Callable[[int], int] | None = None,
-) -> tuple[list[int], list[int], int, dict[int, list[int]]]:
+) -> tuple[int, dict[int, int], int, dict[int, list[int]]]:
     """BoundingDiameters (Takes & Kosters, CIKM 2011) for a pen-weighted diameter.
 
     D = max over v != w of pen[v] + d(v, w) + pen[w] on a connected g, so D
@@ -411,10 +413,13 @@ def bounding_diameters(
 
     Stops after ``budget`` BFS passes at the latest, or, when ``budget`` is
     a function, after as many as it returns for the first source's e(u).
-    Returns (lower, upper, passes, rows): the bounds on every e(v), the BFS
-    passes made and the kept rows by source, all lists.  The largest pen + lower and
-    pen + upper bound D, and are equal unless the budget ran out.  A bound
-    is kept as it stood when its vertex left the candidates; it stays valid.
+    Returns (best, left, passes, rows).  ``best`` is the largest pen + lower
+    bound, so best <= D.  ``left`` maps each candidate still open, in
+    ascending order, to its upper bound on e(v), and pen + that bound is
+    above best; every other vertex v has pen[v] + e(v) <= best.  So left is
+    empty exactly when the bounds have met, and then best = D; it is
+    nonempty only when the budget ran out.  ``passes`` counts the BFS passes
+    made and ``rows`` holds the kept distance rows, lists, by source.
     """
     n = g.n
     adjacency = g.adjacency
@@ -434,10 +439,8 @@ def bounding_diameters(
     pu = list(map(add, c_pen, up))
     hi = list(map(add, map(mul, pu, repeat(n)), key))  # largest pen + upper first
     lo = list(map(sub, map(mul, low, repeat(n)), key))  # smallest lower first
-    lower = [0] * n
-    upper = [0] * n
     rows: dict[int, list[int]] = {}
-    best = passes = 0
+    best, passes = top, 0  # the largest pen + lower bound while every low is 0
     while cand and passes != budget:
         i = lo.index(min(lo)) if passes % 2 else hi.index(max(hi))
         source = cand[i]
@@ -477,28 +480,22 @@ def bounding_diameters(
             rise.append(j)
         _put(lo, rise, map(sub, map(mul, map(low.__getitem__, rise), repeat(n)),
                            map(key.__getitem__, rise)))
-        low[i] = up[i] = ecc
+        low[i] = ecc
         best = max(
             best,
             ps + ecc,
             max(map(add, map(c_pen.__getitem__, rise), map(low.__getitem__, rise)), default=0),
         )
         # the source leaves: pen + its upper bound ecc is at most best
-        lower[source] = upper[source] = ecc
         for column in (cand, c_pen, key, low, up, pu, hi, lo):
             del column[i]
         if pu and min(pu) <= best:
             keep = list(map(gt, pu, repeat(best)))
-            gone = list(map(not_, keep))
-            _put(lower, compress(cand, gone), compress(low, gone))
-            _put(upper, compress(cand, gone), compress(up, gone))
             cand, c_pen, key, low, up, pu, hi, lo = (
                 list(compress(column, keep))
                 for column in (cand, c_pen, key, low, up, pu, hi, lo)
             )
-    _put(lower, cand, low)
-    _put(upper, cand, up)
-    return lower, upper, passes, rows
+    return best, dict(zip(cand, up)), passes, rows
 
 
 def _put(target: list, at: Iterable[int], values: Iterable) -> None:
@@ -512,10 +509,11 @@ def solve_certified(g: Graph, trace: TraceSink = None) -> int:
     :func:`bounding_diameters` with every pen 0 runs until its bounds meet or
     it has made 2e + 1 BFS passes, e being its first source's eccentricity.
     D <= 2e, so one kernel call makes at most that many rounds, each about
-    as costly as one pass.  The candidates left, whose upper bound is above
-    the best lower bound, are then searched in chunks of at most
-    :func:`_ms_bfs_width` sources, largest upper bound first, and a chunk
-    leaves out every candidate that the chunks before it have settled.
+    as costly as one pass.  It returns its best lower bound and the
+    candidates it leaves open, whose upper bound is above that best.  They
+    are then searched in chunks of at most :func:`_ms_bfs_width` sources,
+    largest upper bound first, and a chunk leaves out every candidate that
+    the chunks before it have settled.
     When the memory budget does not fit one source, the bounds run with no
     pass budget until they meet, which is plain BoundingDiameters.
 
@@ -528,9 +526,8 @@ def solve_certified(g: Graph, trace: TraceSink = None) -> int:
         raise VertexRangeError("diameter undefined for the empty graph")
     width = _ms_bfs_width(n)
     budget = (lambda ecc: 2 * ecc + 1) if width else None
-    lower, upper, passes, _ = bounding_diameters(g, [0] * n, budget=budget)
-    best = max(lower)
-    cand = sorted((v for v in range(n) if upper[v] > best), key=upper.__getitem__, reverse=True)
+    best, left, passes, _ = bounding_diameters(g, [0] * n, budget=budget)
+    cand = sorted(left, key=left.__getitem__, reverse=True)
     candidates = len(cand)
     chunks = rounds = 0
     while cand:
@@ -540,7 +537,7 @@ def solve_certified(g: Graph, trace: TraceSink = None) -> int:
         chunks += 1
         rounds += found
         best = max(best, found)
-        cand = [v for v in cand[size:] if upper[v] > best]
+        cand = [v for v in cand[size:] if left[v] > best]
     if trace is not None:
         trace({"passes": passes, "candidates": candidates, "chunks": chunks,
                "rounds": rounds, "lower": best, "upper": best})

@@ -45,6 +45,31 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+_THETA = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
+_K4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+# disconnected graphs with enough edges to pass the loader, so each solver's
+# own connectivity check decides
+DISCONNECTED = {
+    # fes's core is two isolated vertices
+    "two-triangles": ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),
+    # fes's core bounds' first pass misses the other theta
+    "two-thetas": (_THETA + [(u + 5, v + 5) for u, v in _THETA], 10),
+    # auto routes it to msbfs, whose bounds' first pass misses the other K4
+    "two-k4s": (_K4 + [(u + 4, v + 4) for u, v in _K4], 8),
+}
+
+
+def check_disconnected_exits_3(capsys, tmp_path, *argv):
+    """``paramdiam *argv FILE`` on each DISCONNECTED graph exits 3 with
+    nothing on stdout and one ``error: `` line on stderr."""
+    for name, (edges, n) in DISCONNECTED.items():
+        p = tmp_path / f"{name}.el"
+        save_edge_list(from_edge_list(edges, n), str(p))
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 3, (name, argv)
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (name, argv)
+
+
 class TestParams:
     def test_report(self, capsys, path_graph):
         code, out, _ = run(capsys, "params", path_graph)
@@ -58,6 +83,7 @@ class TestParams:
         code, out, err = run(capsys, "params", str(p))
         assert code == 3
         assert out == "" and "error" in err
+        check_disconnected_exits_3(capsys, tmp_path, "params")
 
 
 class TestSolve:
@@ -142,23 +168,17 @@ class TestSolve:
         save_edge_list(from_edge_list([(0, 1)], 3), str(p))
         code, _, _ = run(capsys, "solve", str(p), "--algo", "naive")
         assert code == 3
+        for algo in ALGOS:
+            check_disconnected_exits_3(capsys, tmp_path, "solve", "--algo", algo)
 
     def test_exit_code_disconnected_fes(self, capsys, tmp_path):
-        theta = [(0, 2), (2, 1), (0, 3), (3, 1), (0, 4), (4, 1)]
-        cases = {
-            # the loader rejects too few edges before fes runs
-            "two-paths": ([(0, 1), (1, 2), (3, 4), (4, 5)], 6),
-            # fes's core is two isolated vertices
-            "two-triangles": ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),
-            # the core bounds' first pass misses the other theta
-            "two-thetas": (theta + [(u + 5, v + 5) for u, v in theta], 10),
-        }
-        for name, (edges, n) in cases.items():
-            p = tmp_path / f"{name}.el"
-            save_edge_list(from_edge_list(edges, n), str(p))
-            code, out, err = run(capsys, "solve", str(p), "--algo", "fes")
-            assert code == 3, name
-            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, name
+        # the loader rejects too few edges before fes runs
+        p = tmp_path / "two-paths.el"
+        save_edge_list(from_edge_list([(0, 1), (1, 2), (3, 4), (4, 5)], 6), str(p))
+        code, out, err = run(capsys, "solve", str(p), "--algo", "fes")
+        assert code == 3
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        check_disconnected_exits_3(capsys, tmp_path, "solve", "--algo", "fes")
 
     def test_exit_code_bad_modulator(self, capsys, tmp_path):
         p = str(tmp_path / "long.el")

@@ -480,7 +480,7 @@ def reduced_core(g):
 
 def case3_both_ways(red, pen, dec):
     """(max of case3_path_pair over all path pairs, case3_all_paths) of a core."""
-    rows = case1_high_bfs(red, dec)
+    rows = case1_high_bfs(red, dec, {})
     row_of = {v: r for r, v in enumerate(dec.high)}
     paths = dec.paths
     pair_best = 0
@@ -554,9 +554,26 @@ def core_bounds(red, pen, dec):
     """(best lower bound, settled, kept rows) of the bounds solve_fes runs on a core."""
     pool = set(dec.high)
     high = [v in pool for v in range(red.n)]
-    lower, upper, _, known = bounding_diameters(red, pen, high, len(dec.high))
-    best = max(p + e for p, e in zip(pen, lower))
-    return best, best == max(p + e for p, e in zip(pen, upper)), known
+    best, left, _, known = bounding_diameters(red, pen, high, len(dec.high))
+    check_bounds(red, pen, best, left)
+    return best, not left, known
+
+
+def check_bounds(g, pen, best, left):
+    """What both callers read of bounding_diameters' (best, left): best <= D,
+    and best == D when no candidate is left open; a vertex outside ``left``
+    has pen[v] + e(v) <= best, and one in it has e(v) <= left[v] and
+    pen[v] + left[v] > best.  ``left`` is in ascending vertex order."""
+    ecc = weighted_eccentricities(g, pen)
+    diameter = max(p + e for p, e in zip(pen, ecc))
+    assert best <= diameter
+    assert left or best == diameter
+    assert list(left) == sorted(left)
+    for v in range(g.n):
+        if v in left:
+            assert ecc[v] <= left[v] and pen[v] + left[v] > best
+        else:
+            assert pen[v] + ecc[v] <= best
 
 
 def check_case1_covered(g):
@@ -591,11 +608,9 @@ class TestBoundingDiameters:
             return
         pen = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
         s = data.draw(st.integers(0, 12))
-        pen_arr = np.array(pen, dtype=np.int64)
-        lower, upper, passes, rows = bounding_diameters(g, pen)
-        lower, upper = np.array(lower), np.array(upper)
-        best = int((pen_arr + lower).max())
-        assert best == int((pen_arr + upper).max())
+        best, left, passes, rows = bounding_diameters(g, pen)
+        check_bounds(g, pen, best, left)
+        assert left == {}
         assert max(s, best) == weighted_diameter_oracle(WeightedDiameterInstance(g, pen, s))
         assert 1 <= passes <= g.n and rows == {}
 
@@ -607,13 +622,8 @@ class TestBoundingDiameters:
         pen = data.draw(st.lists(st.integers(0, 8), min_size=g.n, max_size=g.n))
         pool = data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n))
         budget = data.draw(st.integers(1, g.n))
-        pen_arr = np.array(pen, dtype=np.int64)
-        lower, upper, passes, rows = bounding_diameters(g, pen, pool, budget)
-        lower, upper = np.array(lower), np.array(upper)
-        ecc = weighted_eccentricities(g, pen)
-        assert (lower <= ecc).all() and (np.array(ecc) <= upper).all()
-        diameter = max(p + e for p, e in zip(pen, ecc))
-        assert int((pen_arr + lower).max()) <= diameter <= int((pen_arr + upper).max())
+        best, left, passes, rows = bounding_diameters(g, pen, pool, budget)
+        check_bounds(g, pen, best, left)
         assert passes <= budget
         assert all(pool[v] for v in rows)
         for v, row in rows.items():
@@ -622,24 +632,30 @@ class TestBoundingDiameters:
             assert len(rows) == passes
 
     def test_seeded_bounds(self):
-        # every bound and the answer, on a fixed corpus, free of hypothesis's
-        # search: weighted cores with and without a pool and a budget
+        # the answer and the open candidates, on a fixed corpus, free of
+        # hypothesis's search: weighted cores with and without a pool and a
+        # budget
         for seed in range(300):
             rng = random.Random(seed)
             g = gen_connected_er(rng.randrange(2, 12), rng.uniform(0.2, 0.7), seed)
             pen = [rng.randrange(0, 9) for _ in range(g.n)]
-            pen_arr = np.array(pen, dtype=np.int64)
-            ecc = weighted_eccentricities(g, pen)
-            diameter = max(p + e for p, e in zip(pen, ecc))
             pool = [rng.random() < 0.5 for _ in range(g.n)]
             for args in ((), (pool, rng.randrange(1, g.n + 1))):
-                lower, upper, _, _ = bounding_diameters(g, pen, *args)
-                lower, upper = np.array(lower), np.array(upper)
-                assert (lower <= ecc).all() and (np.array(ecc) <= upper).all()
-                assert int((pen_arr + lower).max()) <= diameter
-                assert diameter <= int((pen_arr + upper).max())
+                best, left, _, _ = bounding_diameters(g, pen, *args)
+                check_bounds(g, pen, best, left)
                 if not args:
-                    assert int((pen_arr + lower).max()) == diameter
+                    assert left == {}
+        # every vertex of a circulant looks alike, so the budget runs out
+        # with candidates open, with and without weights and a pool
+        g = circulant(40, 3)
+        for seed in range(20):
+            rng = random.Random(seed)
+            pen = [rng.randrange(0, 3) if seed else 0 for _ in range(g.n)]
+            pool = [rng.random() < 0.5 for _ in range(g.n)] if seed % 2 else None
+            budget = 1 + seed % 3
+            best, left, passes, _ = bounding_diameters(g, pen, pool, budget)
+            assert passes == budget and left
+            check_bounds(g, pen, best, left)
 
 
 def check_core_cost(g, monkeypatch):
