@@ -14,9 +14,10 @@ cases finish the core.  By then every high vertex has been a source of the
 bounds or has left their candidates, so the bounds' best lower bound
 already covers the pairs touching a high vertex, and:
 
-1. case 1 only gathers the distance rows of the high vertices into an
-   int32 numpy matrix (high x core vertices), searching those the bounds
-   did not, so a call never makes more than two passes per high vertex;
+1. case 1 only gathers the distance rows of the high vertices into one
+   :func:`graph.bfs_rows` table (high x core vertices).  It hands in the
+   rows the bounds kept and searches only the others, so a call never
+   makes more than two passes per high vertex;
 2. pairs inside one path, by an O(length) cyclic sweep per path;
 3. pairs in two different paths, by one sweep per path over the interiors
    of all later paths at once: an interior is reached only through its own
@@ -40,7 +41,8 @@ and is rejected.  Any other core is searched from a high vertex by the
 bounds' first BFS pass, which raises when that pass misses a vertex.
 
 Up to the core bounds everything runs on Python lists.  numpy is imported
-only by cases 1 and 3, so a run whose bounds settle never loads it.
+only by :func:`graph.bfs_rows` for case 1, and by case 3, so a run whose
+bounds settle never loads it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeE
 from .graph import (
     Graph,
     TraceSink,
-    _bfs_dist,
+    bfs_rows,
     bounding_diameters,
     induced_subgraph,
 )
@@ -330,25 +332,6 @@ def decompose(g: Graph) -> PathCycleDecomposition:
     return PathCycleDecomposition(high, paths, cycles)
 
 
-def case1_high_bfs(
-    g: Graph, dec: PathCycleDecomposition, known: dict[int, Sequence[int]]
-) -> np.ndarray:
-    """The int32 matrix whose row ``r`` holds the distances from ``dec.high[r]``.
-
-    ``known`` holds the rows the core bounds kept, by source.  A high vertex
-    with a row there is not searched again; its row is moved out of it.
-    The rows feed cases 2 and 3, which read the distances between path
-    endpoints and from them to path interiors.
-    """
-    import numpy as np
-
-    rows = np.empty((len(dec.high), g.n), dtype=np.int32)
-    for r, v in enumerate(dec.high):
-        row = known.pop(v, None)
-        rows[r] = _bfs_dist(g.adjacency, g.n, v) if row is None else row
-    return rows
-
-
 def case2_same_path(pens: Sequence[int], endpoint_distance: int) -> int | None:
     """Best pen-weighted distance between two interior vertices of one path.
 
@@ -435,7 +418,9 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
     left no candidate open and their best is the core's answer.  On
     fallback that best still answers the pairs touching a high vertex, as
-    none is left open, and cases 2 and 3 the pairs of path interiors.
+    none is left open.  Case 1 hands the rows the bounds kept to
+    :func:`graph.bfs_rows`, which searches only the other high vertices,
+    and cases 2 and 3 answer the pairs of path interiors from its table.
     Raises :class:`DisconnectedGraphError` when the reduced core, and so
     ``g``, is disconnected: at once for a core of isolated vertices, else
     from the bounds' first pass.
@@ -463,7 +448,7 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     best = max(inst.s, best)
     if settled:
         return best
-    rows = case1_high_bfs(red, dec, known)
+    rows = bfs_rows(red, dec.high, known)
     row_of = {v: r for r, v in enumerate(dec.high)}
     for path in dec.paths:
         pens = [pen[v] for v in path]

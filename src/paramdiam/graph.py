@@ -12,15 +12,18 @@ Traversals run on two kernels.  :func:`_bfs` is one search from one
 source: it writes the distances it finds into a ``dist`` list owned by its
 caller, and every other traversal in the package calls it.  A traversal of
 G - X needs no copy of it: the vertices of X are set in ``dist`` before the
-search, as walls.  Both modulator solvers group the vertices outside X by
-their columns of one :func:`bfs_rows` table from X, through
-:func:`fingerprint_types`.  :func:`_ms_bfs` runs many searches at once, one
-bit per source in a Python int per vertex, and returns only the largest
-eccentricity among its sources.  It is the second kernel because on graphs
-whose eccentricities are nearly equal no bound prunes, every vertex must be
-searched from, and an interpreted loop per source is then all the cost: one
-C-level OR moves thousands of searches along an edge.  Only
-:func:`solve_certified` calls it, and every public function here is pure.
+search, as walls.  Every int32 table of distances from a set of sources
+is one :func:`bfs_rows` matrix: both modulator solvers group the vertices
+outside X by their columns of the table from X, through
+:func:`fingerprint_types`, and fes case 1 builds the table from the high
+vertices of its core, handing in the rows the bounds kept.
+:func:`_ms_bfs` runs many searches at once, one bit per source in a Python
+int per vertex, and returns only the largest eccentricity among its
+sources.  It is the second kernel because on graphs whose eccentricities
+are nearly equal no bound prunes, every vertex must be searched from, and
+an interpreted loop per source is then all the cost: one C-level OR moves
+thousands of searches along an edge.  Only :func:`solve_certified` calls
+it, and every public function here is pure.
 
 Two diameter solvers live here: :func:`naive_diameter`, one BFS per
 vertex and the reference oracle for every other solver, and
@@ -318,9 +321,15 @@ def _ms_bfs_width(n: int) -> int:
     return max(0, 30 * ((MS_BFS_MAX_BYTES // n - 512) // 12))
 
 
-def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
+def bfs_rows(
+    g: Graph, sources: Sequence[int], known: dict[int, Sequence[int]] | None = None
+) -> np.ndarray:
     """int32 matrix of shape (len(sources), n); row i holds the distances from ``sources[i]``.
 
+    ``known`` holds distance rows the caller already has, by source.  A
+    source with a row there is not searched: its row is popped out of
+    ``known`` into the matrix, so a repeated source is searched for its
+    later occurrences.  Every source is range-checked first, known or not.
     UNREACHABLE entries are kept; each caller decides whether they are an
     error.
     """
@@ -330,7 +339,8 @@ def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     for r, source in enumerate(sources):
         if not (0 <= source < g.n):
             raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
-        rows[r] = _bfs_dist(g.adjacency, g.n, source)
+        row = None if known is None else known.pop(source, None)
+        rows[r] = _bfs_dist(g.adjacency, g.n, source) if row is None else row
     return rows
 
 

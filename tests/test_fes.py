@@ -19,7 +19,6 @@ from paramdiam.fes import (
     WeightedDiameterInstance,
     _rr1_exhaust,
     apply_rr2,
-    case1_high_bfs,
     case2_same_path,
     case3_all_paths,
     decompose,
@@ -28,6 +27,7 @@ from paramdiam.fes import (
 )
 import paramdiam.graph
 from paramdiam.graph import (
+    bfs_rows,
     bounding_diameters,
     connected_components,
     induced_subgraph,
@@ -480,7 +480,7 @@ def reduced_core(g):
 
 def case3_both_ways(red, pen, dec):
     """(max of case3_path_pair over all path pairs, case3_all_paths) of a core."""
-    rows = case1_high_bfs(red, dec, {})
+    rows = bfs_rows(red, dec.high, {})
     row_of = {v: r for r, v in enumerate(dec.high)}
     paths = dec.paths
     pair_best = 0
@@ -585,7 +585,7 @@ def check_case1_covered(g):
     assert not settled
     ecc = weighted_eccentricities(red, pen)
     assert max(pen[v] + ecc[v] for v in dec.high) <= best
-    rows = case1_high_bfs(red, dec, known)
+    rows = bfs_rows(red, dec.high, known)
     assert rows.dtype == np.int32
     assert [tuple(row) for row in rows.tolist()] == [bfs(red, v) for v in dec.high]
 

@@ -569,6 +569,23 @@ class TestBfsRows:
         for row, s in zip(rows, sources):
             assert tuple(row.tolist()) == bfs(g, s)  # UNREACHABLE kept
 
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(), st.data())
+    def test_known_rows_are_taken_not_searched(self, g, data):
+        """The first occurrence of a source with a known row pops that row
+        out of ``known`` and is not searched; every other one is."""
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+        held = data.draw(st.sets(st.integers(0, g.n - 1)))
+        known = {v: list(bfs(g, v)) for v in held}
+        want = bfs_rows(g, sources)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = count_kernel_calls(monkeypatch)
+            rows = bfs_rows(g, sources, known)
+        assert np.array_equal(rows, want) and rows.dtype == np.int32
+        taken = held & set(sources)
+        assert set(known) == held - taken
+        assert len(calls["bfs"]) == len(sources) - len(taken)
+
     def test_no_sources(self):
         g = from_edge_list([(0, 1)], 3)
         assert bfs_rows(g, []).shape == (0, 3)
@@ -577,6 +594,11 @@ class TestBfsRows:
         g = from_edge_list([(0, 1)], 3)
         with pytest.raises(VertexRangeError):
             bfs_rows(g, [0, 3])
+
+    def test_rejects_bad_source_with_a_known_row(self):
+        g = from_edge_list([(0, 1)], 3)
+        with pytest.raises(VertexRangeError):
+            bfs_rows(g, [3], {3: [UNREACHABLE] * 3})
 
 
 class TestComponents:
