@@ -30,6 +30,7 @@ _SUBMODULE = {
     "GenerationError": "errors",
     "GraphInputError": "errors",
     "InvalidModulatorError": "errors",
+    "MemoryLimitError": "errors",
     "ParamDiamError": "errors",
     "SelfLoopError": "errors",
     "VertexRangeError": "errors",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 
 from .errors import (
     CnfParseError,
@@ -19,7 +19,7 @@ from .errors import (
     GenerationError,
     VertexRangeError,
 )
-from .graph import Graph, from_edge_list, is_connected
+from .graph import Graph, _from_pairs, from_edge_list, is_connected
 
 
 @dataclass(frozen=True)
@@ -188,17 +188,18 @@ def sat_to_diameter(formula: CnfFormula) -> ConstructionOutput:
         num_vars += 1  # pad with one fresh unused variable
     half = num_vars // 2
 
-    def satisfies_first(bits: int, clause: tuple[int, ...]) -> bool:
-        return any(
-            abs(lit) <= half and (lit > 0) == bool(bits >> (abs(lit) - 1) & 1)
-            for lit in clause
-        )
-
-    def satisfies_second(bits: int, clause: tuple[int, ...]) -> bool:
-        return any(
-            abs(lit) > half and (lit > 0) == bool(bits >> (abs(lit) - half - 1) & 1)
-            for lit in clause
-        )
+    # per clause and half, the bits of the half-assignment that its positive
+    # and its negative literals test: an assignment ``bits`` satisfies the
+    # clause on that half iff ``pos & bits or neg & ~bits``
+    masks: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
+    for clause in formula.clauses:
+        first, second = [0, 0], [0, 0]
+        for lit in clause:
+            var = abs(lit) - 1
+            half_masks, bit = (first, var) if var < half else (second, var - half)
+            half_masks[lit < 0] |= 1 << bit
+        masks[0].append(tuple(first))
+        masks[1].append(tuple(second))
 
     n_assign = 1 << half
     n_clauses = len(formula.clauses)
@@ -208,22 +209,16 @@ def sat_to_diameter(formula: CnfFormula) -> ConstructionOutput:
     next_id = 2 * n_assign + n_clauses
 
     edges: list[tuple[int, int]] = []
-    s1 = []
-    for i, j in product(range(n_assign), range(n_clauses)):
-        if not satisfies_first(i, formula.clauses[j]):
-            sij = next_id
-            next_id += 1
-            s1.append(sij)
-            edges.append((v1[i], sij))
-            edges.append((sij, b[j]))
-    s2 = []
-    for i, j in product(range(n_assign), range(n_clauses)):
-        if not satisfies_second(i, formula.clauses[j]):
-            qij = next_id
-            next_id += 1
-            s2.append(qij)
-            edges.append((v2[i], qij))
-            edges.append((qij, b[j]))
+    conflicts: tuple[list[int], list[int]] = ([], [])
+    for side, assignments in enumerate((v1, v2)):
+        for bits, vertex in enumerate(assignments):
+            for j, (pos, neg) in enumerate(masks[side]):
+                if not (pos & bits or neg & ~bits):
+                    conflicts[side].append(next_id)
+                    edges.append((vertex, next_id))
+                    edges.append((next_id, b[j]))
+                    next_id += 1
+    s1, s2 = conflicts
     t1, t2, t3, t4 = next_id, next_id + 1, next_id + 2, next_id + 3
     next_id += 4
     edges.extend((t1, v) for v in v1)
@@ -255,21 +250,35 @@ def sat_to_diameter(formula: CnfFormula) -> ConstructionOutput:
 
 
 def gen_tree_plus_k(n: int, k: int, seed: int) -> Graph:
-    """Random tree plus k extra edges: feedback edge number exactly k."""
+    """Random tree plus k extra edges: feedback edge number exactly k.
+
+    Vertex i >= 1 hangs off ``parent[i - 1] = rng.randrange(i)``; then
+    random pairs are drawn until k of them are neither a tree edge nor
+    drawn before.  The edges go to the builder unsorted, as one int64
+    array of their two endpoint lists, since it sorts its rows anyway.
+    """
+    import numpy as np
+
     if n < 1:
         raise GenerationError("need at least one vertex")
     max_extra = n * (n - 1) // 2 - (n - 1)
     if k < 0 or k > max_extra:
         raise GenerationError(f"k={k} infeasible for n={n} (max {max_extra})")
     rng = random.Random(seed)
-    edges = {(rng.randrange(i), i) for i in range(1, n)}
-    edge_set = {(min(u, v), max(u, v)) for u, v in edges}
-    while len(edge_set) < n - 1 + k:
+    parent = list(map(rng.randrange, range(1, n)))
+    extra: set[tuple[int, int]] = set()
+    while len(extra) < k:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u != v:
-            edge_set.add((min(u, v), max(u, v)))
-    return from_edge_list(sorted(edge_set), n)
+            a, b = (u, v) if u < v else (v, u)
+            if parent[b - 1] != a:
+                extra.add((a, b))
+    lo, hi = zip(*extra) if extra else ((), ())
+    ends = np.fromiter(
+        chain(parent, lo, range(1, n), hi), dtype=np.int64, count=2 * (n - 1 + k)
+    )
+    return _from_pairs(ends.reshape(2, -1).T, n)
 
 
 def gen_random_cograph_plus(n: int, extra: int, seed: int) -> Graph:

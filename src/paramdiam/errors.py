@@ -45,5 +45,9 @@ class ContractViolationError(ParamDiamError):
     """A reduction rule or case analysis was invoked outside its precondition."""
 
 
+class MemoryLimitError(ParamDiamError):
+    """A table would take more bytes than the limit set for it."""
+
+
 class GenerationError(ParamDiamError):
     """Infeasible generator parameters."""

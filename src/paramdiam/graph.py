@@ -13,7 +13,8 @@ source: it writes the distances it finds into a ``dist`` list owned by its
 caller, and every other traversal in the package calls it.  A traversal of
 G - X needs no copy of it: the vertices of X are set in ``dist`` before the
 search, as walls.  Every int32 table of distances from a set of sources
-is one :func:`bfs_rows` matrix: both modulator solvers group the vertices
+is one :func:`bfs_rows` matrix, checked against ``BFS_ROWS_MAX_BYTES``
+before it is allocated: both modulator solvers group the vertices
 outside X by their columns of the table from X, through
 :func:`fingerprint_types`, and fes case 1 builds the table from the high
 vertices of its core, handing in the rows the bounds kept.
@@ -57,8 +58,8 @@ import re
 import warnings
 from bisect import bisect_left
 from collections import deque
-from itertools import compress, count, repeat
-from operator import add, eq, gt, lt, mul, sub
+from itertools import chain, compress, count, repeat
+from operator import add, eq, gt, index, lt, mul, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -66,6 +67,7 @@ from .errors import (
     DuplicateEdgeError,
     EdgeListParseError,
     GraphInputError,
+    MemoryLimitError,
     ParamDiamError,
     SelfLoopError,
     VertexRangeError,
@@ -111,21 +113,30 @@ class Graph:
 def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     """Build a validated Graph from an edge list over vertices 0..n-1.
 
-    Rejects a vertex count outside 0..2**31 - 1, out-of-range endpoints,
-    self-loops and duplicate (including symmetric) edges with distinct error
-    types; the error names the first faulty edge in input order.
+    Each edge is a pair of integers: Python ints, numpy integer scalars, or
+    a row of an (m, 2) integer ndarray.  Any other pair, such as
+    ``(0, 1, 2)``, ``(2,)``, ``(0.5, 1)`` or ``("0", "1")``, raises
+    :class:`GraphInputError`.  Rejects a vertex count outside
+    0..2**31 - 1, out-of-range endpoints, self-loops and duplicate
+    (including symmetric) edges with distinct error types; the error names
+    the first faulty edge in input order.
     """
     import numpy as np
 
+    edges = list(edges)
+    not_pairs = GraphInputError("edges must be (u, v) pairs of integers")
     try:
-        pairs = np.array(list(edges), dtype=np.int64)
+        if set(map(len, edges)) - {2}:
+            raise not_pairs
+        # index() takes ints and numpy integers, and raises TypeError on the rest
+        flat = np.fromiter(
+            map(index, chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges)
+        )
+    except TypeError:
+        raise not_pairs from None
     except OverflowError as exc:
         raise VertexRangeError(f"vertex id outside 0..{n - 1}") from exc
-    if pairs.size == 0:
-        pairs = pairs.reshape(0, 2)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise GraphInputError("edges must be (u, v) pairs")
-    return _from_pairs(pairs, n)
+    return _from_pairs(flat.reshape(-1, 2), n)
 
 
 def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
@@ -321,10 +332,18 @@ def _ms_bfs_width(n: int) -> int:
     return max(0, 30 * ((MS_BFS_MAX_BYTES // n - 512) // 12))
 
 
+# The most bytes one bfs_rows table may take.  The largest table the test
+# suite builds is 213 x 500 entries (426 kB).
+BFS_ROWS_MAX_BYTES = 256 * 2**20
+
+
 def bfs_rows(
     g: Graph, sources: Sequence[int], known: dict[int, Sequence[int]] | None = None
 ) -> np.ndarray:
     """int32 matrix of shape (len(sources), n); row i holds the distances from ``sources[i]``.
+
+    Raises :class:`MemoryLimitError` before it allocates when the table
+    would take more than ``BFS_ROWS_MAX_BYTES``.
 
     ``known`` holds distance rows the caller already has, by source.  A
     source with a row there is not searched: its row is popped out of
@@ -333,6 +352,12 @@ def bfs_rows(
     UNREACHABLE entries are kept; each caller decides whether they are an
     error.
     """
+    size = 4 * len(sources) * g.n
+    if size > BFS_ROWS_MAX_BYTES:
+        raise MemoryLimitError(
+            f"a distance table from {len(sources)} sources over {g.n} vertices needs"
+            f" {size} bytes, above graph.BFS_ROWS_MAX_BYTES = {BFS_ROWS_MAX_BYTES}"
+        )
     import numpy as np
 
     rows = np.empty((len(sources), g.n), dtype=np.int32)

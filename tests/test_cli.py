@@ -222,6 +222,20 @@ class TestSolve:
         (event,) = [e for e in map(json.loads, err.splitlines()) if "phase" in e]
         assert event["phase"] == "core-bounds" and event["fallback"] is not None
 
+    @pytest.mark.parametrize("algo", ["fes", "cograph", "hindex-diam"])
+    def test_distance_table_over_the_memory_limit_exits_1(
+        self, capsys, tmp_path, monkeypatch, algo
+    ):
+        # fes falls back to case 1 on this graph (see the test above); the
+        # case-1 rows, the modulator rows and the hub rows are bfs_rows tables
+        p = str(tmp_path / "g.el")
+        save_edge_list(gen_tree_plus_k(300, 5, 5), p)
+        monkeypatch.setattr("paramdiam.graph.BFS_ROWS_MAX_BYTES", 0)
+        code, out, err = run(capsys, "solve", p, "--algo", algo)
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "BFS_ROWS_MAX_BYTES" in err
+
     def test_exit_code_empty_hub_set(self, capsys, tmp_path):
         p = str(tmp_path / "c5.el")
         save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), p)

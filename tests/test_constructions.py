@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ from paramdiam import (
     CnfParseError,
     EmptyClauseError,
     GenerationError,
+    format_edge_list,
     from_edge_list,
     naive_diameter,
 )
@@ -25,7 +27,7 @@ from paramdiam.constructions import (
 from paramdiam.graph import is_connected
 from paramdiam.params import find_induced_p4, neighbor_masks
 from oracles import format_dimacs_cnf, girth, is_bipartite, is_satisfiable
-from test_graph import graphs
+from test_graph import graphs, random_3cnf
 
 TRIANGLE_PLUS_TAIL = from_edge_list([(0, 1), (0, 2), (1, 2), (2, 3)], 4)
 
@@ -216,3 +218,40 @@ class TestGenerators:
     def test_er_gives_up_on_hopeless_density(self):
         with pytest.raises(GenerationError):
             gen_connected_er(40, 0.0, 0, max_tries=5)
+
+
+# sha256 of format_edge_list for each seeded family and construction, at the
+# sizes the benchmark generates.  A seeded family must give the same file for
+# the same arguments from one version to the next.
+PINNED = {
+    ("tree-plus-k(100000, 50)", 1): "5de2f4d135561e91788bb0418c1fca28be6d788dfc5e9baf576a47c8fd5ab3a9",
+    ("tree-plus-k(100000, 50)", 2): "a2bc8d810e71d2a8dd99812f807ee63a66856903571a9eab38f3f4adcf0efcb9",
+    ("tree-plus-k(20000, 300)", 1): "f2ec48e89822ceecd49af134eac075bbdd6005719268133a8dddb02299cb7f13",
+    ("tree-plus-k(20000, 300)", 2): "daa975fe98f30537efb4564df84ab31b2c61e1c85daf0be13e72178a6e7951e7",
+    ("er(700, 0.012)", 1): "2fb8c423dcdd7e2f2517d2d1edf6d5cff6f2d6c4e59c69c8b9804914230b07b0",
+    ("er(700, 0.012)", 2): "bec15fceba757407ddf8179f9d59a8b9ad2f65ec01b4bfae83f4f79e71e7f4b8",
+    ("cograph-plus(200, 3)", 1): "7243b958636139a91ef39108a8f911a0ee11a539efc65275c7bf69e71dd9677c",
+    ("cograph-plus(200, 3)", 2): "39d9cbeb7f332ad54ddedbc00aeb6b648134d778e02f543451b75fb5e20aeab5",
+    ("thm1(er(300, 0.02))", 1): "d8dec3f8d4cc3f61b551d4e686c33756f1bc2a5345591ce89b6e0c1f8416a1d5",
+    ("thm1(er(300, 0.02))", 2): "a7ae338e105010bb70e75b1eb74f97e666b1278ddf105c013ffcd39535493f7d",
+    ("thm4(tree-plus-k(300, 5))", 1): "f5b94a9857bd94d0f0b5d7b08c83f9cb72d53f62186f77fa564dacb63a79cbdf",
+    ("thm4(tree-plus-k(300, 5))", 2): "a35e1321cc8f6d0848340d783fc20255057a591eccba087ce3da7d4f8b114178",
+    ("thm6(3-cnf(12, 50))", 1): "701b5a355352eff99f2cec481d9d3a081cead2905e6c7d3e11b8a5e5c907e30f",
+    ("thm6(3-cnf(12, 50))", 2): "c4b8d648cda986beb9304e19ab47684fc1663e3b0e7a4af5ede65b5bfa8cf8cf",
+}
+
+MAKE = {
+    "tree-plus-k(100000, 50)": lambda s: gen_tree_plus_k(100_000, 50, s),
+    "tree-plus-k(20000, 300)": lambda s: gen_tree_plus_k(20_000, 300, s),
+    "er(700, 0.012)": lambda s: gen_connected_er(700, 0.012, s),
+    "cograph-plus(200, 3)": lambda s: gen_random_cograph_plus(200, 3, s),
+    "thm1(er(300, 0.02))": lambda s: bipartite_girth_construction(gen_connected_er(300, 0.02, s)).graph,
+    "thm4(tree-plus-k(300, 5))": lambda s: bisection_construction(gen_tree_plus_k(300, 5, s)).graph,
+    "thm6(3-cnf(12, 50))": lambda s: sat_to_diameter(random_3cnf(12, 50, s)).graph,
+}
+
+
+@pytest.mark.parametrize(("family", "seed"), sorted(PINNED), ids=lambda x: str(x))
+def test_generated_file_is_pinned(family, seed):
+    text = format_edge_list(MAKE[family](seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[family, seed]

@@ -16,6 +16,7 @@ from paramdiam import (
     EdgeListParseError,
     Graph,
     GraphInputError,
+    MemoryLimitError,
     SelfLoopError,
     VertexRangeError,
     format_edge_list,
@@ -139,6 +140,31 @@ class TestConstruction:
                 parse("3 2\n1 1\n0 5\n")
             with pytest.raises(DuplicateEdgeError, match=r"\(1, 0\)"):
                 parse("3 3\n0 1\n1 0\n2 2\n")
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (2,)],
+            [(0, 1, 2)],
+            [(0.5, 1)],
+            [(0, 1.0)],
+            [("0", "1")],
+            ["01"],
+            [0, 1],
+            np.array([[0.0, 1.0]]),
+        ],
+        ids=["ragged", "triple", "float", "integral-float", "strings", "string-pair", "flat", "float-array"],
+    )
+    def test_rejects_a_pair_that_is_not_two_integers(self, edges):
+        with pytest.raises(GraphInputError, match="pairs"):
+            from_edge_list(edges, 3)
+
+    def test_accepts_numpy_integers(self):
+        want = from_edge_list([(0, 1), (1, 2)], 3).adjacency
+        assert from_edge_list([(np.int32(0), np.int64(1)), (np.uint8(1), 2)], 3).adjacency == want
+        assert from_edge_list(np.array([[0, 1], [1, 2]]), 3).adjacency == want
+        assert from_edge_list(np.array([[0, 1], [1, 2]], dtype=np.uint16), 3).adjacency == want
+        assert from_edge_list(np.empty((0, 2), dtype=np.int64), 1).m == 0
 
     def test_rejects_vertex_count_above_int32(self):
         tracemalloc.start()
@@ -599,6 +625,18 @@ class TestBfsRows:
         g = from_edge_list([(0, 1)], 3)
         with pytest.raises(VertexRangeError):
             bfs_rows(g, [3], {3: [UNREACHABLE] * 3})
+
+    def test_memory_limit_is_checked_before_any_search(self, monkeypatch):
+        g = from_edge_list([(0, 1), (1, 2)], 3)
+        monkeypatch.setattr("paramdiam.graph.BFS_ROWS_MAX_BYTES", 4 * 2 * 3)
+        assert bfs_rows(g, [0, 2]).shape == (2, 3)  # exactly at the limit
+        calls = count_kernel_calls(monkeypatch)
+        known = {0: [0, 1, 2]}
+        with pytest.raises(MemoryLimitError, match="BFS_ROWS_MAX_BYTES"):
+            bfs_rows(g, [0, 1, 2], known)
+        assert calls["bfs"] == [] and 0 in known
+        with pytest.raises(MemoryLimitError):
+            bfs_rows(g, [0, 9, 1])  # before the range check
 
 
 class TestComponents:

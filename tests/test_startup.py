@@ -30,6 +30,7 @@ EXPORTS = (
     "Graph",
     "GraphInputError",
     "InvalidModulatorError",
+    "MemoryLimitError",
     "ParamDiamError",
     "SelfLoopError",
     "VertexRangeError",
