@@ -2,7 +2,11 @@
 
 Exit codes are part of the contract so harnesses can script against them:
 0 success, 2 unparseable input, 3 disconnected graph, 4 invalid modulator,
-5 verification mismatch, 1 anything else.
+5 verification mismatch, 1 anything else.  Each solver learns that a graph
+is disconnected from its first distance search, and a ``--modulator`` is
+validated in full, its ids and then its structure, before that search: a
+disconnected graph with an invalid modulator exits 4.  The loader's edge
+count check below still exits 3 before the modulator file is read.
 
 A ``solve`` process is mostly start-up and shut-down, so this module keeps
 both short:

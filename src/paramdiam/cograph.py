@@ -5,9 +5,11 @@ so each third vertex of any long shortest path lies in K.  Vertices outside
 K are grouped into types by their capped distance fingerprint towards K
 (:func:`graph.fingerprint_types`).  One exact BFS row per type, and one
 numpy reduction per type against the types it has a cross-component pair
-with, give every distance between two components of G - K.  The input
-Graph holds only adjacency: the 2-ball check builds its bitmasks as
-working state and drops them.
+with, give every distance between two components of G - K.  The first
+BFS row from K decides connectivity; with K empty the component labels of
+G do, since a cograph may be disconnected.  The input Graph holds only
+adjacency: the 2-ball check builds its bitmasks as working state and
+drops them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .graph import (
     bfs_rows,
     connected_components,
     fingerprint_types,
-    is_connected,
 )
 from .params import cograph_modulator, find_induced_p4, neighbor_masks
 
@@ -79,8 +80,6 @@ def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is not connected")
     if k_set is None:
         k_set = cograph_modulator(g)  # empty only when g is P4-free
     elif not k_set and find_induced_p4(g) is not None:
@@ -93,9 +92,11 @@ def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
     best = max(component_diameters(g, labels), default=0)  # validates K
 
     if not k_list:
+        if max(labels) > 0:  # a cograph may be disconnected
+            raise DisconnectedGraphError("graph is not connected")
         return best
 
-    rows = bfs_rows(g, k_list)
+    rows = bfs_rows(g, k_list)  # its first search decides connectivity
     best = max(best, int(rows.max()))
     lab = np.array(labels)
     outside = np.flatnonzero(lab >= 0)

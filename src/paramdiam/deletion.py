@@ -1,13 +1,14 @@
 """The distance-to-clique solver.
 
 :func:`solve_clique_modulator` makes one BFS per vertex of the deletion set
-K and keeps no all-pairs table, so it runs in O(k (n + m)) time.
+K, the first of which decides connectivity, and keeps no table, so it runs
+in O(k (n + m)) time.
 """
 
 from __future__ import annotations
 
-from .errors import DisconnectedGraphError, InvalidModulatorError, VertexRangeError
-from .graph import Graph, _bfs_dist, is_connected
+from .errors import InvalidModulatorError, VertexRangeError
+from .graph import Graph, eccentricity
 from .params import clique_modulator_2approx
 
 
@@ -15,13 +16,11 @@ def solve_clique_modulator(g: Graph, k_set: set[int] | None = None) -> int:
     """Exact diameter when G - K is a clique; K defaults to the 2-approximation.
 
     Every shortest path longer than one has an endpoint in K, so the answer
-    is the largest BFS distance from K, floored at one when at least two
-    clique vertices remain.
+    is the largest eccentricity in K, floored at one when at least two
+    clique vertices remain.  With K empty the graph is a clique, connected.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is not connected")
     if k_set is None:
         k_set = clique_modulator_2approx(g)
     for v in k_set:
@@ -34,6 +33,5 @@ def solve_clique_modulator(g: Graph, k_set: set[int] | None = None) -> int:
         raise InvalidModulatorError("remainder is not a clique")
     best = 1 if len(rest) >= 2 else 0
     for x in sorted(k_set):
-        row = _bfs_dist(g.adjacency, g.n, x)
-        best = max(best, max(row))
+        best = max(best, eccentricity(g, x))
     return best

@@ -13,21 +13,21 @@ source: it writes the distances it finds into a ``dist`` list owned by its
 caller, and every other traversal in the package calls it.  A traversal of
 G - X needs no copy of it: the vertices of X are set in ``dist`` before the
 search, as walls.  Every int32 table of distances from a set of sources
-is one :func:`bfs_rows` matrix, checked against ``BFS_ROWS_MAX_BYTES``
-before it is allocated: both modulator solvers group the vertices
-outside X by their columns of the table from X, through
-:func:`fingerprint_types`, and fes case 1 builds the table from the high
-vertices of its core, handing in the rows the bounds kept.
+(hub rows, modulator rows, fes case 1's rows) is one :func:`bfs_rows`
+matrix, checked against ``BFS_ROWS_MAX_BYTES`` before it is allocated.
 :func:`_ms_bfs` runs many searches at once, one bit per source in a Python
 int per vertex, and returns only the largest eccentricity among its
-sources.  It is the second kernel because on graphs whose eccentricities
-are nearly equal no bound prunes, every vertex must be searched from, and
-an interpreted loop per source is then all the cost: one C-level OR moves
-thousands of searches along an edge.  Only :func:`solve_certified` calls
-it, and every public function here is pure.
+sources: where no bound prunes, one C-level OR moves thousands of searches
+along an edge.  Only :func:`solve_certified` calls it, and every public
+function here is pure.
 
-Two diameter solvers live here: :func:`naive_diameter`, one BFS per
-vertex and the reference oracle for every other solver, and
+A full search decides connectivity: :func:`bfs_rows`,
+:func:`eccentricity`, :func:`bounding_diameters` and :func:`_ms_bfs` raise
+:class:`DisconnectedGraphError` as soon as one misses a vertex, so no
+solver that makes one runs a check of its own.
+
+Two diameter solvers live here: :func:`naive_diameter`, the largest
+:func:`eccentricity` and the reference oracle for every other solver, and
 :func:`solve_certified`, which needs no structural parameter: it prunes BFS
 sources with eccentricity bounds under a pass budget and certifies the
 vertices they leave with :func:`_ms_bfs`.  The bounds loop,
@@ -262,12 +262,6 @@ def _bfs(
     return order
 
 
-def _bfs_dist(adjacency: Sequence[Iterable[int]], n: int, source: int) -> list[int]:
-    dist = [UNREACHABLE] * n
-    _bfs(adjacency, source, dist)
-    return dist
-
-
 def _ms_bfs(adjacency: Sequence[Sequence[int]], n: int, sources: Sequence[int]) -> int:
     """Multi-source bit-parallel BFS; the largest eccentricity among ``sources``.
 
@@ -348,9 +342,9 @@ def bfs_rows(
     ``known`` holds distance rows the caller already has, by source.  A
     source with a row there is not searched: its row is popped out of
     ``known`` into the matrix, so a repeated source is searched for its
-    later occurrences.  Every source is range-checked first, known or not.
-    UNREACHABLE entries are kept; each caller decides whether they are an
-    error.
+    later occurrences.  Every source is range-checked before the first
+    search, known or not.  A search that misses a vertex raises
+    :class:`DisconnectedGraphError`; a known row is taken as it is.
     """
     size = 4 * len(sources) * g.n
     if size > BFS_ROWS_MAX_BYTES:
@@ -358,14 +352,19 @@ def bfs_rows(
             f"a distance table from {len(sources)} sources over {g.n} vertices needs"
             f" {size} bytes, above graph.BFS_ROWS_MAX_BYTES = {BFS_ROWS_MAX_BYTES}"
         )
+    for source in sources:
+        if not (0 <= source < g.n):
+            raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
     import numpy as np
 
     rows = np.empty((len(sources), g.n), dtype=np.int32)
     for r, source in enumerate(sources):
-        if not (0 <= source < g.n):
-            raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
         row = None if known is None else known.pop(source, None)
-        rows[r] = _bfs_dist(g.adjacency, g.n, source) if row is None else row
+        if row is None:
+            row = [UNREACHABLE] * g.n
+            if len(_bfs(g.adjacency, source, row)) < g.n:
+                raise DisconnectedGraphError("graph is not connected")
+        rows[r] = row
     return rows
 
 
@@ -390,35 +389,25 @@ def fingerprint_types(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return UNREACHABLE not in _bfs_dist(g.adjacency, g.n, 0)
-
-
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is not connected")
+    return g.n <= 1 or len(_bfs(g.adjacency, 0, [UNREACHABLE] * g.n)) == g.n
 
 
 def eccentricity(g: Graph, v: int) -> int:
+    """The largest distance from v: its BFS visits the farthest vertex last."""
     if not (0 <= v < g.n):
         raise VertexRangeError(f"vertex {v} outside 0..{g.n - 1}")
-    row = _bfs_dist(g.adjacency, g.n, v)
-    ecc = max(row)
-    if UNREACHABLE in row:
+    dist = [UNREACHABLE] * g.n
+    order = _bfs(g.adjacency, v, dist)
+    if len(order) < g.n:
         raise DisconnectedGraphError("graph is not connected")
-    return ecc
+    return dist[order[-1]]
 
 
 def naive_diameter(g: Graph) -> int:
-    """Diameter by one BFS per vertex; the reference oracle for all solvers."""
+    """The largest :func:`eccentricity`; the reference oracle for all solvers."""
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    require_connected(g)
-    best = 0
-    for v in range(g.n):
-        best = max(best, max(_bfs_dist(g.adjacency, g.n, v)))
-    return best
+    return max(eccentricity(g, v) for v in range(g.n))
 
 
 def bounding_diameters(

@@ -1,7 +1,9 @@
 """Exact diameter via hub distance fingerprints and bounded-depth probes.
 
 Phase 1 BFSes from a hub set H (everything outside H has small degree) and
-fingerprints each non-hub vertex by its exact distances to H.  Phase 2
+fingerprints each non-hub vertex by its exact distances to H; the first of
+these searches decides connectivity, and an empty default H means an
+edgeless graph, connected only on one vertex.  Phase 2
 maintains a diameter candidate e, starting at the largest distance seen in
 the hub tables, and certifies it: a fingerprint pair whose best via-hub
 route exceeds e forces a depth-e BFS in G - H, and a missing vertex of the
@@ -30,7 +32,6 @@ from .graph import (
     _bfs,
     bfs_rows,
     fingerprint_types,
-    is_connected,
 )
 from .params import h_index, hub_set
 
@@ -63,8 +64,6 @@ def solve_hd(
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
-    if not is_connected(g):
-        raise DisconnectedGraphError("graph is not connected")
     if hubs is None:
         hubs = hub_set(g)
     else:
@@ -80,11 +79,12 @@ def solve_hd(
                     f"vertex {v} outside the hub set has degree above h_index"
                 )
     hub_list = sorted(hubs)
-    if not hub_list:
-        # connected and edgeless: a single vertex
+    if not hub_list:  # only on an edgeless graph
+        if g.n > 1:
+            raise DisconnectedGraphError("graph is not connected")
         return 0
 
-    rows = bfs_rows(g, hub_list)
+    rows = bfs_rows(g, hub_list)  # its first search decides connectivity
     e = int(rows.max())
 
     non_hubs = np.setdiff1d(np.arange(g.n), hub_list)

@@ -9,8 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import VertexRangeError
-from .graph import Graph, require_connected
+from .errors import DisconnectedGraphError, VertexRangeError
+from .graph import Graph, is_connected
 
 
 def neighbor_masks(g: Graph) -> list[int]:
@@ -180,7 +180,8 @@ def parameter_report(g: Graph) -> dict:
     The graph must be connected; its feedback edge number is then m - n + 1.
     """
     dmax, dmin, davg = degree_stats(g)
-    require_connected(g)
+    if not is_connected(g):
+        raise DisconnectedGraphError("graph is not connected")
     return {
         "n": g.n,
         "m": g.m,

@@ -45,7 +45,6 @@ from paramdiam.graph import (
     UNREACHABLE,
     TraceSink,
     _bfs,
-    _bfs_dist,
     _bfs_forest,
     induced_subgraph,
 )
@@ -361,7 +360,9 @@ def bfs(g: Graph, source: int) -> tuple[int, ...]:
     """
     if not (0 <= source < g.n):
         raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
-    return tuple(_bfs_dist(g.adjacency, g.n, source))
+    dist = [UNREACHABLE] * g.n
+    _bfs(g.adjacency, source, dist)
+    return tuple(dist)
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -501,7 +502,7 @@ def weighted_diameter_oracle(inst: WeightedDiameterInstance) -> int:
         raise VertexRangeError("no vertices left")
     best = inst.s
     for v in range(red.n):
-        row = _bfs_dist(red.adjacency, red.n, v)
+        row = bfs(red, v)
         for w in range(v + 1, red.n):
             d = row[w]
             if d == UNREACHABLE:

@@ -28,7 +28,7 @@ from paramdiam.constructions import (
     gen_tree_plus_k,
     sat_to_diameter,
 )
-from paramdiam.cli import ALGOS, _pick_auto, main
+from paramdiam.cli import ALGOS, MODULATOR_ALGOS, _pick_auto, main
 from test_graph import graphs, random_3cnf, solve_bounds_alone
 
 
@@ -189,6 +189,18 @@ class TestSolve:
             capsys, "solve", p, "--algo", "cograph", "--modulator", str(mod)
         )
         assert code == 4
+
+    @pytest.mark.parametrize("algo", MODULATOR_ALGOS)
+    def test_invalid_modulator_exits_4_before_disconnection(self, capsys, tmp_path, algo):
+        # the modulator is validated before its first search finds the
+        # graph disconnected
+        p = str(tmp_path / "two-triangles.el")
+        save_edge_list(from_edge_list(*DISCONNECTED["two-triangles"]), p)
+        mod = tmp_path / "k.txt"
+        mod.write_text("9\n")
+        code, out, err = run(capsys, "solve", p, "--algo", algo, "--modulator", str(mod))
+        assert code == 4
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("token", ["1_0", "\u0661"], ids=["underscore", "arabic-indic"])
     def test_modulator_follows_the_edge_list_token_grammar(self, capsys, tmp_path, token):

@@ -37,7 +37,6 @@ from paramdiam.constructions import (
 from paramdiam.graph import (
     UNREACHABLE,
     _bfs,
-    _bfs_dist,
     _from_lists,
     _ms_bfs,
     _ms_bfs_width,
@@ -48,7 +47,6 @@ from paramdiam.graph import (
     eccentricity,
     induced_subgraph,
     is_connected,
-    require_connected,
 )
 from oracles import (
     bfs,
@@ -225,8 +223,6 @@ class TestBfsAndDiameter:
         g = from_edge_list([(0, 1)], 3)
         assert bfs(g, 0) == (0, 1, UNREACHABLE)
         assert not is_connected(g)
-        with pytest.raises(DisconnectedGraphError):
-            require_connected(g)
         with pytest.raises(DisconnectedGraphError):
             naive_diameter(g)
 
@@ -468,7 +464,7 @@ class TestMsBfs:
         # repeated sources included
         sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
         if is_connected(g):
-            want = max(max(_bfs_dist(g.adjacency, g.n, s)) for s in sources)
+            want = max(max(bfs(g, s)) for s in sources)
             assert _ms_bfs(g.adjacency, g.n, sources) == want
         else:
             with pytest.raises(DisconnectedGraphError):
@@ -546,7 +542,7 @@ class TestSolveCertified:
         (event,) = events
         passes, first = len(calls["bfs"]), calls["bfs"][0]
         assert calls["ms_bfs"] == event["chunks"] == 1
-        assert event["passes"] == passes <= 2 * max(_bfs_dist(g.adjacency, g.n, first)) + 1
+        assert event["passes"] == passes <= 2 * max(bfs(g, first)) + 1
 
     def test_settled_bounds_call_no_kernel(self, monkeypatch):
         g = grid(60, 60)
@@ -586,17 +582,32 @@ class TestSolveCertified:
 
 class TestBfsRows:
     @settings(max_examples=150, deadline=None)
-    @given(graphs(), st.data())
+    @given(graphs(connected_only=True), st.data())
     def test_rows_equal_bfs(self, g, data):
         sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
         rows = bfs_rows(g, sources)
         assert rows.dtype == np.int32
         assert rows.shape == (len(sources), g.n)
         for row, s in zip(rows, sources):
-            assert tuple(row.tolist()) == bfs(g, s)  # UNREACHABLE kept
+            assert tuple(row.tolist()) == bfs(g, s)
 
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
+    def test_every_search_decides_connectivity(self, g, data):
+        """A search on a disconnected graph raises; a known row is taken as
+        it is, UNREACHABLE entries and all."""
+        sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+        if is_connected(g):
+            assert bfs_rows(g, sources).min() >= 0
+        else:
+            with pytest.raises(DisconnectedGraphError):
+                bfs_rows(g, sources)
+            known = {v: list(bfs(g, v)) for v in sources}
+            rows = bfs_rows(g, sorted(known), dict(known))
+            assert rows.tolist() == [known[v] for v in sorted(known)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs(connected_only=True), st.data())
     def test_known_rows_are_taken_not_searched(self, g, data):
         """The first occurrence of a source with a known row pops that row
         out of ``known`` and is not searched; every other one is."""
