@@ -23,7 +23,7 @@ from .graph import (
     connected_components,
     fingerprint_types,
 )
-from .params import cograph_modulator, find_induced_p4, neighbor_masks
+from .params import cograph_modulator, neighbor_masks
 
 DISTANCE_CAP = 4  # fingerprint entries: min(dist, 4)
 
@@ -75,15 +75,14 @@ def component_diameters(g: Graph, labels: list[int]) -> list[int]:
 def solve_cograph(g: Graph, k_set: set[int] | None = None) -> int:
     """Exact diameter; K defaults to the one-scan cograph modulator.
 
-    Correct for any valid modulator, minimal or not.  With an empty K the
-    graph itself must be P4-free.
+    Correct for any K, minimal or not, that leaves components of diameter
+    at most two, which :func:`component_diameters` checks; no K is scanned
+    for P4s, so an empty K on C5 gives its diameter 2.
     """
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
     if k_set is None:
-        k_set = cograph_modulator(g)  # empty only when g is P4-free
-    elif not k_set and find_induced_p4(g) is not None:
-        raise InvalidModulatorError("empty modulator but the graph is not P4-free")
+        k_set = cograph_modulator(g)
     for v in k_set:
         if not (0 <= v < g.n):
             raise InvalidModulatorError(f"modulator vertex {v} outside 0..{g.n - 1}")

@@ -14,15 +14,15 @@ cases finish the core.  By then every high vertex has been a source of the
 bounds or has left their candidates, so the bounds' best lower bound
 already covers the pairs touching a high vertex, and:
 
-1. case 1 only gathers the distance rows of the high vertices into one
-   :func:`graph.bfs_rows` table (high x core vertices).  It hands in the
-   rows the bounds kept and searches only the others, so a call never
-   makes more than two passes per high vertex;
+1. case 1 only gathers one int32 distance row per high vertex, by
+   source: the rows the bounds kept, as they are, and one
+   :func:`graph.bfs_rows` table for the others, so a call never makes more
+   than two passes per high vertex and holds no row twice;
 2. pairs inside one path, by an O(length) cyclic sweep per path;
 3. pairs in two different paths, by one sweep per path over the interiors
    of all later paths at once: an interior is reached only through its own
-   path's endpoints, so the endpoint rows of the matrix give every distance
-   the sweep needs.
+   path's endpoints, so the endpoint rows give every distance the sweep
+   needs.
 
 The reduction state is a :class:`WeightedDiameterInstance`: the input
 graph with an alive mask and live degrees, a per-vertex weight ``pen``
@@ -55,6 +55,7 @@ from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeE
 from .graph import (
     Graph,
     TraceSink,
+    _check_rows_budget,
     bfs_rows,
     bounding_diameters,
     induced_subgraph,
@@ -380,16 +381,16 @@ def _path_sweep(pens: np.ndarray, f: np.ndarray, g: np.ndarray, w: np.ndarray) -
 
 
 def case3_all_paths(
-    rows: np.ndarray, row_of: dict[int, int], pen: Sequence[int], paths: list[list[int]]
+    rows: dict[int, Sequence[int]], pen: Sequence[int], paths: list[list[int]]
 ) -> int:
     """Best pen-weighted distance between interiors of two distinct paths.
 
     An interior w of another path is reached from x_i only through x_0 or
-    x_a, and the rows of those endpoints already hold the exact distance to
-    w, so each path is swept once against the interiors of every later path
-    together.  Later paths only: each unordered pair is covered once and a
-    path's own interiors, which case 2 handles, never enter.  0 when fewer
-    than two paths have interiors.
+    x_a, whose rows ``rows[x_0]`` and ``rows[x_a]``, viewed, not copied,
+    hold the exact distance to w, so each path is swept once against the
+    interiors of every later path together.  Later paths only: each
+    unordered pair is covered once and a path's own interiors, which case 2
+    handles, never enter.  0 when fewer than two paths have interiors.
     """
     import numpy as np
 
@@ -404,8 +405,8 @@ def case3_all_paths(
         if start == len(interior):
             break
         others = interior[start:]
-        f = rows[row_of[path[0]], others].astype(np.int64)
-        g = rows[row_of[path[-1]], others].astype(np.int64)
+        f = np.asarray(rows[path[0]])[others].astype(np.int64)
+        g = np.asarray(rows[path[-1]])[others].astype(np.int64)
         best = max(best, _path_sweep(pen_arr[path[1:-1]], f, g, w_all[start:]))
     return best
 
@@ -418,9 +419,9 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
     left no candidate open and their best is the core's answer.  On
     fallback that best still answers the pairs touching a high vertex, as
-    none is left open.  Case 1 hands the rows the bounds kept to
-    :func:`graph.bfs_rows`, which searches only the other high vertices,
-    and cases 2 and 3 answer the pairs of path interiors from its table.
+    none is left open.  Case 1 checks the budget of one int32 row per high
+    vertex, then searches the high vertices without a kept row into one
+    :func:`graph.bfs_rows` table, and cases 2 and 3 read the rows by source.
     Raises :class:`DisconnectedGraphError` when the reduced core, and so
     ``g``, is disconnected: at once for a core of isolated vertices, else
     from the bounds' first pass.
@@ -435,24 +436,23 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     if not dec.high:
         raise DisconnectedGraphError("graph is not connected")
     high = [len(nbrs) >= 3 for nbrs in red.adjacency]  # exactly dec.high
-    best, left, passes, known = bounding_diameters(red, pen, high, len(dec.high))
-    settled = not left
+    best, left, passes, rows = bounding_diameters(red, pen, high, len(dec.high))
     if trace is not None:
         trace({
             "phase": "core-bounds",
             "core_n": red.n,
             "high": len(dec.high),
             "passes": passes,
-            "fallback": None if settled else len(dec.high) - len(known),
+            "fallback": len(dec.high) - len(rows) if left else None,
         })
     best = max(inst.s, best)
-    if settled:
+    if not left:
         return best
-    rows = bfs_rows(red, dec.high, known)
-    row_of = {v: r for r, v in enumerate(dec.high)}
+    _check_rows_budget(len(dec.high), red.n)
+    missing = [v for v in dec.high if v not in rows]
+    rows.update(zip(missing, bfs_rows(red, missing)))
     for path in dec.paths:
-        pens = [pen[v] for v in path]
-        cand = case2_same_path(pens, int(rows[row_of[path[0]], path[-1]]))
+        cand = case2_same_path([pen[v] for v in path], int(rows[path[0]][path[-1]]))
         if cand is not None and cand > best:
             best = cand
-    return max(best, case3_all_paths(rows, row_of, pen, dec.paths))
+    return max(best, case3_all_paths(rows, pen, dec.paths))

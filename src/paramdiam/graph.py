@@ -12,9 +12,10 @@ Traversals run on two kernels.  :func:`_bfs` is one search from one
 source: it writes the distances it finds into a ``dist`` list owned by its
 caller, and every other traversal in the package calls it.  A traversal of
 G - X needs no copy of it: the vertices of X are set in ``dist`` before the
-search, as walls.  Every int32 table of distances from a set of sources
-(hub rows, modulator rows, fes case 1's rows) is one :func:`bfs_rows`
-matrix, checked against ``BFS_ROWS_MAX_BYTES`` before it is allocated.
+search, as walls.  Every distance row kept is int32: the rows
+:func:`bounding_diameters` keeps are ``array('i')``, and every other table
+from a set of sources is one :func:`bfs_rows` matrix, checked against
+``BFS_ROWS_MAX_BYTES`` before it is allocated.
 :func:`_ms_bfs` runs many searches at once, one bit per source in a Python
 int per vertex, and returns only the largest eccentricity among its
 sources: where no bound prunes, one C-level OR moves thousands of searches
@@ -56,6 +57,7 @@ from __future__ import annotations
 import io
 import re
 import warnings
+from array import array
 from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, count, repeat
@@ -326,32 +328,29 @@ def _ms_bfs_width(n: int) -> int:
     return max(0, 30 * ((MS_BFS_MAX_BYTES // n - 512) // 12))
 
 
-# The most bytes one bfs_rows table may take.  The largest table the test
-# suite builds is 213 x 500 entries (426 kB).
+# The most bytes one bfs_rows table, or fes case 1's rows, may take.  The
+# test suite's largest are 213 x 500 entries (426 kB) and 300 x 2100 (2.5 MB).
 BFS_ROWS_MAX_BYTES = 256 * 2**20
 
 
-def bfs_rows(
-    g: Graph, sources: Sequence[int], known: dict[int, Sequence[int]] | None = None
-) -> np.ndarray:
+def _check_rows_budget(count: int, n: int) -> None:
+    """Raise :class:`MemoryLimitError` if ``count`` int32 rows of n entries pass the limit."""
+    if 4 * count * n > BFS_ROWS_MAX_BYTES:
+        raise MemoryLimitError(
+            f"a distance table from {count} sources over {n} vertices needs"
+            f" {4 * count * n} bytes, above graph.BFS_ROWS_MAX_BYTES = {BFS_ROWS_MAX_BYTES}"
+        )
+
+
+def bfs_rows(g: Graph, sources: Sequence[int]) -> np.ndarray:
     """int32 matrix of shape (len(sources), n); row i holds the distances from ``sources[i]``.
 
     Raises :class:`MemoryLimitError` before it allocates when the table
-    would take more than ``BFS_ROWS_MAX_BYTES``.
-
-    ``known`` holds distance rows the caller already has, by source.  A
-    source with a row there is not searched: its row is popped out of
-    ``known`` into the matrix, so a repeated source is searched for its
-    later occurrences.  Every source is range-checked before the first
-    search, known or not.  A search that misses a vertex raises
-    :class:`DisconnectedGraphError`; a known row is taken as it is.
+    would take more than ``BFS_ROWS_MAX_BYTES``, then checks every source's
+    range before the first search.  A search that misses a vertex raises
+    :class:`DisconnectedGraphError`.
     """
-    size = 4 * len(sources) * g.n
-    if size > BFS_ROWS_MAX_BYTES:
-        raise MemoryLimitError(
-            f"a distance table from {len(sources)} sources over {g.n} vertices needs"
-            f" {size} bytes, above graph.BFS_ROWS_MAX_BYTES = {BFS_ROWS_MAX_BYTES}"
-        )
+    _check_rows_budget(len(sources), g.n)
     for source in sources:
         if not (0 <= source < g.n):
             raise VertexRangeError(f"source {source} outside 0..{g.n - 1}")
@@ -359,11 +358,9 @@ def bfs_rows(
 
     rows = np.empty((len(sources), g.n), dtype=np.int32)
     for r, source in enumerate(sources):
-        row = None if known is None else known.pop(source, None)
-        if row is None:
-            row = [UNREACHABLE] * g.n
-            if len(_bfs(g.adjacency, source, row)) < g.n:
-                raise DisconnectedGraphError("graph is not connected")
+        row = [UNREACHABLE] * g.n
+        if len(_bfs(g.adjacency, source, row)) < g.n:
+            raise DisconnectedGraphError("graph is not connected")
         rows[r] = row
     return rows
 
@@ -415,7 +412,7 @@ def bounding_diameters(
     pen: Sequence[int],
     pool: Sequence[bool] | None = None,
     budget: int | Callable[[int], int] | None = None,
-) -> tuple[int, dict[int, int], int, dict[int, list[int]]]:
+) -> tuple[int, dict[int, int], int, dict[int, array]]:
     """BoundingDiameters (Takes & Kosters, CIKM 2011) for a pen-weighted diameter.
 
     D = max over v != w of pen[v] + d(v, w) + pen[w] on a connected g, so D
@@ -431,9 +428,9 @@ def bounding_diameters(
     no candidate is left.  Sources alternate between the candidate of
     largest pen + upper bound and the one of smallest lower bound, the
     higher degree winning ties, and come from the candidates in the boolean
-    mask ``pool`` while any is left.  The distance row of each pool source
-    searched is kept.  With no ``pool`` and pen = 0 this is plain
-    BoundingDiameters, and a vertex-transitive graph takes n passes.
+    mask ``pool`` while any is left.  Each pool source's distance row is
+    kept as an int32 ``array('i')``.  With no ``pool`` and pen = 0 this is
+    plain BoundingDiameters, and a vertex-transitive graph takes n passes.
 
     Stops after ``budget`` BFS passes at the latest, or, when ``budget`` is
     a function, after as many as it returns for the first source's e(u).
@@ -443,7 +440,7 @@ def bounding_diameters(
     above best; every other vertex v has pen[v] + e(v) <= best.  So left is
     empty exactly when the bounds have met, and then best = D; it is
     nonempty only when the budget ran out.  ``passes`` counts the BFS passes
-    made and ``rows`` holds the kept distance rows, lists, by source.
+    made and ``rows`` holds the kept distance rows by source.
     """
     n = g.n
     adjacency = g.adjacency
@@ -463,7 +460,7 @@ def bounding_diameters(
     pu = list(map(add, c_pen, up))
     hi = list(map(add, map(mul, pu, repeat(n)), key))  # largest pen + upper first
     lo = list(map(sub, map(mul, low, repeat(n)), key))  # smallest lower first
-    rows: dict[int, list[int]] = {}
+    rows: dict[int, array] = {}
     best, passes = top, 0  # the largest pen + lower bound while every low is 0
     while cand and passes != budget:
         i = lo.index(min(lo)) if passes % 2 else hi.index(max(hi))
@@ -473,7 +470,7 @@ def bounding_diameters(
             raise DisconnectedGraphError("graph is not connected")
         passes += 1
         if pool is not None and pool[source]:
-            rows[source] = dist
+            rows[source] = array("i", dist)
         ps = pen[source]
         reach = list(map(add, dist, pen))
         reach[source] = 0  # below every other entry, and e = 0 when n = 1

@@ -190,6 +190,36 @@ class TestSolve:
         )
         assert code == 4
 
+    def test_empty_modulator_on_a_p4_exits_4(self, capsys, tmp_path):
+        p = str(tmp_path / "c5.el")
+        save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), p)
+        mod = tmp_path / "empty.txt"
+        mod.write_text("")
+        code, out, err = run(capsys, "solve", p, "--algo", "cograph", "--modulator", str(mod))
+        assert code == 4
+        assert out == "" and "not P4-free" in err and err.count("\n") == 1
+
+    def test_cograph_scans_for_p4s_once(self, capsys, tmp_path, monkeypatch):
+        # the default modulator of a cograph is empty; the scan that found
+        # it is the only one
+        p = str(tmp_path / "cg.el")
+        g = gen_random_cograph_plus(60, 0, 0)
+        save_edge_list(g, p)
+        scan = paramdiam.params._p4_scan
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return scan(g)
+
+        monkeypatch.setattr(paramdiam.params, "_p4_scan", counted)
+        code, out, _ = run(capsys, "solve", p, "--algo", "cograph")
+        assert code == 0
+        report = json.loads(out)
+        assert report["diameter"] == naive_diameter(g)
+        assert report["parameters"] == {"cograph_modulator_size": 0}
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("algo", MODULATOR_ALGOS)
     def test_invalid_modulator_exits_4_before_disconnection(self, capsys, tmp_path, algo):
         # the modulator is validated before its first search finds the

@@ -64,6 +64,12 @@ class TestSolve:
         g = from_edge_list([(0, 1), (1, 2), (0, 2), (3, 1)], 4)
         assert solve_cograph(g, set()) == 2
 
+    def test_empty_modulator_on_a_graph_of_diameter_two(self):
+        # C5 has an induced P4, but its one component has diameter 2, which
+        # is all the algorithm needs of G - K
+        c5 = from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5)
+        assert solve_cograph(c5, set()) == 2
+
     def test_empty_modulator_on_p4_raises(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
         with pytest.raises(InvalidModulatorError):
@@ -95,8 +101,8 @@ class TestSolve:
         g = gen_random_cograph_plus(60, 0, 0)
         assert solve_cograph(g) == naive_diameter(g)
         assert len(calls) == 1
-        solve_cograph(g, set())
-        assert len(calls) == 2
+        solve_cograph(g, set())  # K is checked by the component diameters
+        assert len(calls) == 1
 
     def test_oversized_modulator_still_exact(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)

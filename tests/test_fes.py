@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from paramdiam import (
     ContractViolationError,
     DisconnectedGraphError,
+    MemoryLimitError,
     from_edge_list,
     naive_diameter,
     solve_certified,
@@ -25,6 +27,7 @@ from paramdiam.fes import (
     max_weighted_pair_cyclic,
     reduce_exhaustively,
 )
+import paramdiam.fes
 import paramdiam.graph
 from paramdiam.graph import (
     bfs_rows,
@@ -480,25 +483,24 @@ def reduced_core(g):
 
 def case3_both_ways(red, pen, dec):
     """(max of case3_path_pair over all path pairs, case3_all_paths) of a core."""
-    rows = bfs_rows(red, dec.high, {})
-    row_of = {v: r for r, v in enumerate(dec.high)}
+    rows = dict(zip(dec.high, bfs_rows(red, dec.high)))
     paths = dec.paths
     pair_best = 0
     for i, p1 in enumerate(paths):
-        x0, xa = row_of[p1[0]], row_of[p1[-1]]
+        x0, xa = rows[p1[0]], rows[p1[-1]]
         for p2 in paths[i + 1:]:
             y0, yb = p2[0], p2[-1]
             cand = case3_path_pair(
                 [pen[v] for v in p1],
                 [pen[v] for v in p2],
-                int(rows[x0, y0]),
-                int(rows[x0, yb]),
-                int(rows[xa, y0]),
-                int(rows[xa, yb]),
+                int(x0[y0]),
+                int(x0[yb]),
+                int(xa[y0]),
+                int(xa[yb]),
             )
             if cand is not None:
                 pair_best = max(pair_best, cand)
-    return pair_best, case3_all_paths(rows, row_of, pen, paths)
+    return pair_best, case3_all_paths(rows, pen, paths)
 
 
 # (n, k) of tree-plus-k graphs whose reduced cores have dozens of paths
@@ -554,9 +556,9 @@ def core_bounds(red, pen, dec):
     """(best lower bound, settled, kept rows) of the bounds solve_fes runs on a core."""
     pool = set(dec.high)
     high = [v in pool for v in range(red.n)]
-    best, left, _, known = bounding_diameters(red, pen, high, len(dec.high))
+    best, left, _, kept = bounding_diameters(red, pen, high, len(dec.high))
     check_bounds(red, pen, best, left)
-    return best, not left, known
+    return best, not left, kept
 
 
 def check_bounds(g, pen, best, left):
@@ -578,16 +580,33 @@ def check_bounds(g, pen, best, left):
 
 def check_case1_covered(g):
     """On a core the bounds leave unsettled: no high v's pen[v] + e(v) beats
-    the bounds' best, so case 1 need not score those pairs, and its rows are
-    the BFS rows of the high vertices, kept or searched anew."""
+    the bounds' best, so case 1 need not score those pairs.  The rows
+    solve_fes hands to case 3 are the int32 BFS rows of the high vertices,
+    by source: each row the bounds kept as its own array('i'), and the
+    others searched anew into one bfs_rows table."""
     red, pen, dec = reduced_core(g)
-    best, settled, known = core_bounds(red, pen, dec)
+    best, settled, kept = core_bounds(red, pen, dec)
     assert not settled
     ecc = weighted_eccentricities(red, pen)
     assert max(pen[v] + ecc[v] for v in dec.high) <= best
-    rows = bfs_rows(red, dec.high, known)
-    assert rows.dtype == np.int32
-    assert [tuple(row) for row in rows.tolist()] == [bfs(red, v) for v in dec.high]
+    seen = []
+    sweep = paramdiam.fes.case3_all_paths
+
+    def spy(rows, *args):
+        seen.append(rows)
+        return sweep(rows, *args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(paramdiam.fes, "case3_all_paths", spy)
+        solve_fes(g)
+    (rows,) = seen
+    assert sorted(rows) == dec.high
+    for v in dec.high:
+        row = rows[v]
+        assert row.typecode == "i" if v in kept else row.dtype == np.int32
+        assert tuple(row) == bfs(red, v)
+    # the searched rows are views of one table
+    assert len({id(rows[v].base) for v in dec.high if v not in kept}) <= 1
 
 
 def weighted_eccentricities(g, pen):
@@ -627,7 +646,7 @@ class TestBoundingDiameters:
         assert passes <= budget
         assert all(pool[v] for v in rows)
         for v, row in rows.items():
-            assert isinstance(row, list) and tuple(row) == bfs(g, v)
+            assert row.typecode == "i" and tuple(row) == bfs(g, v)
         if all(pool):
             assert len(rows) == passes
 
@@ -781,3 +800,52 @@ class TestCoreBounds:
         assert got == solve_certified(g)
         assert event["fallback"] is None
         assert 4 * event["passes"] <= event["high"]
+
+    @pytest.mark.parametrize(
+        "g, kept, searched",
+        [(gen_tree_plus_k(300, 5, 5), 1, 3), (circular_ladder(12, 5), 24, 0)],
+        ids=["mixed", "all-kept"],
+    )
+    def test_case1_reads_kept_and_searched_rows_by_source(self, g, kept, searched):
+        events = []
+        assert solve_fes(g, events.append) == naive_diameter(g)
+        (event,) = [e for e in events if "phase" in e]
+        assert event["high"] == kept + searched and event["fallback"] == searched
+        check_case1_covered(g)
+
+    def test_case1_checks_the_budget_of_every_row_before_a_search(self, monkeypatch):
+        # one row kept and three searched: the limit counts all four
+        g = gen_tree_plus_k(300, 5, 5)
+        red, _, dec = reduced_core(g)
+        table = 4 * len(dec.high) * red.n
+        monkeypatch.setattr(paramdiam.graph, "BFS_ROWS_MAX_BYTES", table)
+        assert solve_fes(g) == naive_diameter(g)
+        monkeypatch.setattr(paramdiam.graph, "BFS_ROWS_MAX_BYTES", table - 1)
+        kernel = paramdiam.graph._bfs
+        calls = []
+        monkeypatch.setattr(
+            paramdiam.graph, "_bfs", lambda *args: calls.append(args[1]) or kernel(*args)
+        )
+        events = []
+        with pytest.raises(MemoryLimitError, match="BFS_ROWS_MAX_BYTES"):
+            solve_fes(g, events.append)
+        (event,) = [e for e in events if "phase" in e]
+        assert event["fallback"] == 3 and len(calls) == event["passes"]
+
+    def test_fallback_peak_is_about_one_int32_row_per_high_vertex(self):
+        # the kept rows are int32, and case 1 copies none of them; a kept
+        # row of Python ints takes several times its int32 size.  tracemalloc
+        # slows the bounds about 25x, so the ladder is smaller than CI's
+        g = circular_ladder(150, 5)
+        red, _, dec = reduced_core(g)
+        table = 4 * len(dec.high) * red.n
+        events = []
+        tracemalloc.start()
+        try:
+            solve_fes(g, events.append)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        (event,) = [e for e in events if "phase" in e]
+        assert event["fallback"] == 0
+        assert peak <= 2 * table

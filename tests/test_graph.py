@@ -594,34 +594,13 @@ class TestBfsRows:
     @settings(max_examples=150, deadline=None)
     @given(graphs(), st.data())
     def test_every_search_decides_connectivity(self, g, data):
-        """A search on a disconnected graph raises; a known row is taken as
-        it is, UNREACHABLE entries and all."""
+        """A search on a disconnected graph raises."""
         sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
         if is_connected(g):
             assert bfs_rows(g, sources).min() >= 0
         else:
             with pytest.raises(DisconnectedGraphError):
                 bfs_rows(g, sources)
-            known = {v: list(bfs(g, v)) for v in sources}
-            rows = bfs_rows(g, sorted(known), dict(known))
-            assert rows.tolist() == [known[v] for v in sorted(known)]
-
-    @settings(max_examples=150, deadline=None)
-    @given(graphs(connected_only=True), st.data())
-    def test_known_rows_are_taken_not_searched(self, g, data):
-        """The first occurrence of a source with a known row pops that row
-        out of ``known`` and is not searched; every other one is."""
-        sources = data.draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
-        held = data.draw(st.sets(st.integers(0, g.n - 1)))
-        known = {v: list(bfs(g, v)) for v in held}
-        want = bfs_rows(g, sources)
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            calls = count_kernel_calls(monkeypatch)
-            rows = bfs_rows(g, sources, known)
-        assert np.array_equal(rows, want) and rows.dtype == np.int32
-        taken = held & set(sources)
-        assert set(known) == held - taken
-        assert len(calls["bfs"]) == len(sources) - len(taken)
 
     def test_no_sources(self):
         g = from_edge_list([(0, 1)], 3)
@@ -632,20 +611,14 @@ class TestBfsRows:
         with pytest.raises(VertexRangeError):
             bfs_rows(g, [0, 3])
 
-    def test_rejects_bad_source_with_a_known_row(self):
-        g = from_edge_list([(0, 1)], 3)
-        with pytest.raises(VertexRangeError):
-            bfs_rows(g, [3], {3: [UNREACHABLE] * 3})
-
     def test_memory_limit_is_checked_before_any_search(self, monkeypatch):
         g = from_edge_list([(0, 1), (1, 2)], 3)
         monkeypatch.setattr("paramdiam.graph.BFS_ROWS_MAX_BYTES", 4 * 2 * 3)
         assert bfs_rows(g, [0, 2]).shape == (2, 3)  # exactly at the limit
         calls = count_kernel_calls(monkeypatch)
-        known = {0: [0, 1, 2]}
         with pytest.raises(MemoryLimitError, match="BFS_ROWS_MAX_BYTES"):
-            bfs_rows(g, [0, 1, 2], known)
-        assert calls["bfs"] == [] and 0 in known
+            bfs_rows(g, [0, 1, 2])
+        assert calls["bfs"] == []
         with pytest.raises(MemoryLimitError):
             bfs_rows(g, [0, 9, 1])  # before the range check
 
