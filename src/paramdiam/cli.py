@@ -126,12 +126,10 @@ def _run_solver(g: Graph, algo: str, modulator: set[int] | None, trace) -> tuple
         return solve_fes(g, trace), {"feedback_edge_number": g.m - g.n + 1}
     if algo == "cograph":
         from .cograph import solve_cograph
-        from .params import cograph_modulator, find_induced_p4
+        from .params import cograph_modulator
 
         if modulator is None:
             modulator = cograph_modulator(g)
-        elif not modulator and find_induced_p4(g) is not None:
-            raise InvalidModulatorError("empty modulator but the graph is not P4-free")
         return solve_cograph(g, modulator), {"cograph_modulator_size": len(modulator)}
     if algo == "hindex-diam":
         from .hindex import solve_hd

@@ -33,11 +33,11 @@ Two diameter solvers live here: :func:`naive_diameter`, the largest
 sources with eccentricity bounds under a pass budget and certifies the
 vertices they leave with :func:`_ms_bfs`.  The bounds loop,
 :func:`bounding_diameters`, takes vertex weights, so it also bounds the
-weighted core that ``solve_fes`` reduces to.  It runs on Python lists,
-with C-level ``map``, ``min`` and ``max`` over the candidates and updates
-written only where a bound moves, and keeps bounds only for the candidates
-still open: it returns its best lower bound on the diameter and the open
-candidates with their upper bounds, which is all its two callers read.
+weighted core that ``solve_fes`` reduces to.  It keeps four lists over
+the candidates still open, sorted once so that the first max or min breaks
+ties, runs C-level ``map``, ``min`` and ``max`` over them and writes only
+where a bound moves.  It returns its best lower bound on the diameter and
+the open candidates with their upper bounds, which is all its callers read.
 
 numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
@@ -58,10 +58,9 @@ import io
 import re
 import warnings
 from array import array
-from bisect import bisect_left
 from collections import deque
 from itertools import chain, compress, count, repeat
-from operator import add, eq, gt, index, lt, mul, sub
+from operator import add, eq, gt, index, lt, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -426,11 +425,12 @@ def bounding_diameters(
     The largest pen[v] + lower bound is a lower bound on D.  A candidate
     leaves once pen + its upper bound is at most that, and D is found once
     no candidate is left.  Sources alternate between the candidate of
-    largest pen + upper bound and the one of smallest lower bound, the
-    higher degree winning ties, and come from the candidates in the boolean
-    mask ``pool`` while any is left.  Each pool source's distance row is
-    kept as an int32 ``array('i')``.  With no ``pool`` and pen = 0 this is
-    plain BoundingDiameters, and a vertex-transitive graph takes n passes.
+    largest pen + upper bound and the one of smallest lower bound, and come
+    from the candidates in the boolean mask ``pool`` while any is left.
+    Ties go to the first in the candidates' order: higher degree first,
+    then lower id.  Each pool source's distance row is kept as an int32
+    ``array('i')``.  With no ``pool`` and pen = 0 this is plain
+    BoundingDiameters, and a vertex-transitive graph takes n passes.
 
     Stops after ``budget`` BFS passes at the latest, or, when ``budget`` is
     a function, after as many as it returns for the first source's e(u).
@@ -445,32 +445,32 @@ def bounding_diameters(
     n = g.n
     adjacency = g.adjacency
     top = max(pen, default=0)
-    # The candidates, ascending, and columns aligned with them: pen, the
-    # tie-break key, the bounds on e(v), pen + upper bound, and the source
-    # scores of the two kinds of pass.
-    cand = list(range(n))
-    c_pen = list(pen)
-    key = list(map(len, adjacency))
+    # The candidates in source order (pool, higher degree, lower id), so
+    # the first max or min breaks ties, and columns aligned with them: pen,
+    # the lower bound on e(v) and pen + the upper bound.  The first npool
+    # candidates are the pool's.
+    cand = sorted(range(n), key=list(map(len, adjacency)).__getitem__, reverse=True)
+    npool = 0
     if pool is not None:
-        # above every score: a pool candidate wins both kinds of pass
-        bonus = (n + 2 * top + 1) * n
-        key = [k + bonus if p else k for k, p in zip(key, pool)]
+        cand.sort(key=pool.__getitem__, reverse=True)
+        npool = sum(pool)
+    c_pen = list(map(pen.__getitem__, cand))
     low = [0] * n
-    up = [n + top] * n  # above every e(v)
-    pu = list(map(add, c_pen, up))
-    hi = list(map(add, map(mul, pu, repeat(n)), key))  # largest pen + upper first
-    lo = list(map(sub, map(mul, low, repeat(n)), key))  # smallest lower first
+    pu = list(map(add, c_pen, repeat(n + top)))  # above every pen + e(v)
     rows: dict[int, array] = {}
     best, passes = top, 0  # the largest pen + lower bound while every low is 0
     while cand and passes != budget:
-        i = lo.index(min(lo)) if passes % 2 else hi.index(max(hi))
+        scores = low if passes % 2 else pu
+        head = scores[:npool] if npool else scores
+        i = scores.index(min(head) if passes % 2 else max(head))
         source = cand[i]
         dist = [UNREACHABLE] * n
         if len(_bfs(adjacency, source, dist)) < n:
             raise DisconnectedGraphError("graph is not connected")
         passes += 1
-        if pool is not None and pool[source]:
+        if i < npool:
             rows[source] = array("i", dist)
+            npool -= 1
         ps = pen[source]
         reach = list(map(add, dist, pen))
         reach[source] = 0  # below every other entry, and e = 0 when n = 1
@@ -478,29 +478,25 @@ def bounding_diameters(
         far = reach.index(ecc)
         if callable(budget):
             budget = budget(ecc)
-        # this pass's lower bound at distance x from the source
-        low_at = list(map(max, range(ps, ps + ecc + 1), range(ecc, -1, -1)))
+        # write only where a bound moves; in the long passes over graphs
+        # that prune little, few do.  reach[v] is pen[v] + d(u, v)
         up_plus = max(ecc, ps)
-        d = list(map(dist.__getitem__, cand))
-        j = bisect_left(cand, far)
+        fall = list(compress(count(), map(
+            lt, map(add, map(reach.__getitem__, cand), repeat(up_plus)), pu)))
+        _put(pu, fall, map(add, map(reach.__getitem__, map(cand.__getitem__, fall)),
+                           repeat(up_plus)))
         far_low = None
-        if j < len(cand) and cand[j] == far:
+        if far in cand:
+            j = cand.index(far)
             reach[far] = 0  # far cannot count itself: the second farthest
             far_low = max(low[j], dist[far] + ps, max(reach) - dist[far])
-        # write only where a bound moves; in the long passes over graphs
-        # that prune little, few do
-        rise = list(compress(count(), map(gt, map(low_at.__getitem__, d), low)))
-        _put(low, rise, map(low_at.__getitem__, map(d.__getitem__, rise)))
-        fall = list(compress(count(), map(lt, map(add, d, repeat(up_plus)), up)))
-        _put(up, fall, map(add, map(d.__getitem__, fall), repeat(up_plus)))
-        _put(pu, fall, map(add, map(c_pen.__getitem__, fall), map(up.__getitem__, fall)))
-        _put(hi, fall, map(add, map(mul, map(pu.__getitem__, fall), repeat(n)),
-                           map(key.__getitem__, fall)))
+        # this pass's lower bound at distance x from the source
+        low_at = list(map(max, range(ps, ps + ecc + 1), range(ecc, -1, -1))).__getitem__
+        rise = list(compress(count(), map(gt, map(low_at, map(dist.__getitem__, cand)), low)))
+        _put(low, rise, map(low_at, map(dist.__getitem__, map(cand.__getitem__, rise))))
         if far_low is not None:
             low[j] = far_low
             rise.append(j)
-        _put(lo, rise, map(sub, map(mul, map(low.__getitem__, rise), repeat(n)),
-                           map(key.__getitem__, rise)))
         low[i] = ecc
         best = max(
             best,
@@ -508,15 +504,15 @@ def bounding_diameters(
             max(map(add, map(c_pen.__getitem__, rise), map(low.__getitem__, rise)), default=0),
         )
         # the source leaves: pen + its upper bound ecc is at most best
-        for column in (cand, c_pen, key, low, up, pu, hi, lo):
+        for column in (cand, c_pen, low, pu):
             del column[i]
         if pu and min(pu) <= best:
             keep = list(map(gt, pu, repeat(best)))
-            cand, c_pen, key, low, up, pu, hi, lo = (
-                list(compress(column, keep))
-                for column in (cand, c_pen, key, low, up, pu, hi, lo)
+            npool = sum(keep[:npool])
+            cand, c_pen, low, pu = (
+                list(compress(column, keep)) for column in (cand, c_pen, low, pu)
             )
-    return best, dict(zip(cand, up)), passes, rows
+    return best, dict(sorted(zip(cand, map(sub, pu, c_pen)))), passes, rows
 
 
 def _put(target: list, at: Iterable[int], values: Iterable) -> None:

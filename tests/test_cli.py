@@ -190,14 +190,24 @@ class TestSolve:
         )
         assert code == 4
 
-    def test_empty_modulator_on_a_p4_exits_4(self, capsys, tmp_path):
-        p = str(tmp_path / "c5.el")
-        save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), p)
+    def test_empty_modulator_is_checked_like_any_other(self, capsys, tmp_path):
+        # component_diameters checks every modulator: C5 has induced P4s
+        # but diameter 2, so K = {} is valid for it, while P4 has diameter 3
+        c5 = str(tmp_path / "c5.el")
+        save_edge_list(from_edge_list([(i, (i + 1) % 5) for i in range(5)], 5), c5)
         mod = tmp_path / "empty.txt"
         mod.write_text("")
-        code, out, err = run(capsys, "solve", p, "--algo", "cograph", "--modulator", str(mod))
+        code, out, _ = run(
+            capsys, "solve", c5, "--algo", "cograph", "--modulator", str(mod), "--verify"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["diameter"] == 2 and report["verify"] == "match"
+        p4 = str(tmp_path / "p4.el")
+        save_edge_list(from_edge_list([(0, 1), (1, 2), (2, 3)], 4), p4)
+        code, out, err = run(capsys, "solve", p4, "--algo", "cograph", "--modulator", str(mod))
         assert code == 4
-        assert out == "" and "not P4-free" in err and err.count("\n") == 1
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
     def test_cograph_scans_for_p4s_once(self, capsys, tmp_path, monkeypatch):
         # the default modulator of a cograph is empty; the scan that found

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import deque
@@ -46,7 +47,7 @@ from oracles import (
     weighted_diameter_floyd,
     weighted_diameter_oracle,
 )
-from test_graph import circulant, graphs
+from test_graph import bounded_corpus, circulant, circular_ladder, graphs
 
 
 def instance(edges, n, pen=None, s=0):
@@ -552,11 +553,16 @@ class TestPathSweep:
         assert solve_fes(g) == naive_diameter(g) == 12
 
 
+def core_bounds_args(red, pen, dec):
+    """The arguments solve_fes passes bounding_diameters on a core: the high
+    vertices as the pool, and as many passes as there are of them."""
+    pool = set(dec.high)
+    return red, pen, [v in pool for v in range(red.n)], len(dec.high)
+
+
 def core_bounds(red, pen, dec):
     """(best lower bound, settled, kept rows) of the bounds solve_fes runs on a core."""
-    pool = set(dec.high)
-    high = [v in pool for v in range(red.n)]
-    best, left, _, kept = bounding_diameters(red, pen, high, len(dec.high))
+    best, left, _, kept = bounding_diameters(*core_bounds_args(red, pen, dec))
     check_bounds(red, pen, best, left)
     return best, not left, kept
 
@@ -650,6 +656,38 @@ class TestBoundingDiameters:
         if all(pool):
             assert len(rows) == passes
 
+    def test_source_order_unchanged(self, monkeypatch):
+        # the BFS sources of each call in order, recorded when the tie-break
+        # was an integer score; the pass counts alone would miss a
+        # reordering that keeps them.  Long lists are pinned by sha256
+        kernel = paramdiam.graph._bfs
+
+        def sources(g, pen, *args):
+            calls = []
+            monkeypatch.setattr(
+                paramdiam.graph, "_bfs", lambda *a: calls.append(a[1]) or kernel(*a)
+            )
+            bounding_diameters(g, pen, *args)
+            monkeypatch.undo()
+            return calls
+
+        def digest(lists):
+            return hashlib.sha256(repr(lists).encode()).hexdigest()
+
+        corpus = bounded_corpus()
+        plain = [sources(g, [0] * g.n) for g in corpus]
+        assert digest(plain) == (
+            "38503a28ff256d07c07281055f491878502ac8a1fdf78f953f3bf380ca064da6")
+        budgeted = [sources(g, [0] * g.n, None, lambda e: 2 * e + 1) for g in corpus]
+        assert digest(budgeted) == (
+            "4ff6751379fc08dc6843f847e75cd165c3d66d1c48fa3225f2cae05e86156195")
+        cores = [sources(*core_bounds_args(*reduced_core(g))) for g in HARD_CORES.values()]
+        assert digest(cores) == (
+            "d32e2b5a947ca4588290001c6de95300fa7f79bfdcbee175b86e74b48becc581")
+        assert sources(*core_bounds_args(*reduced_core(circular_ladder(12, 5)))) == [
+            0, 5, 12, 6, 19, 9, 15, 3, 16, 4, 20, 7, 23, 8, 1, 11, 2, 10, 13, 14, 17, 18, 21, 22
+        ]
+
     def test_seeded_bounds(self):
         # the answer and the open candidates, on a fixed corpus, free of
         # hypothesis's search: weighted cores with and without a pool and a
@@ -708,23 +746,6 @@ def check_core_cost(g, monkeypatch):
     assert event["high"] <= 2 * (k - 1)
     assert passes <= 4 * (k - 1)
     return got, event
-
-
-def circular_ladder(rungs, subdivisions=1):
-    """Prism over a rungs-cycle, each edge a path of ``subdivisions`` edges:
-    every branch vertex has the same eccentricity, so no bound settles one
-    without a BFS of its own."""
-    edges = []
-    for i in range(rungs):
-        j = (i + 1) % rungs
-        edges += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1), (2 * i, 2 * i + 1)]
-    n = 2 * rungs
-    paths = []
-    for u, v in edges:
-        chain = [u, *range(n, n + subdivisions - 1), v]
-        n += subdivisions - 1
-        paths += zip(chain, chain[1:])
-    return from_edge_list(paths, n)
 
 
 # Cores on which the bounds settle little before the budget runs out: the

@@ -293,6 +293,23 @@ def circulant(n, offsets):
     )
 
 
+def circular_ladder(rungs, subdivisions=1):
+    """Prism over a rungs-cycle, each edge a path of ``subdivisions`` edges:
+    every branch vertex has the same eccentricity, so no bound settles one
+    without a BFS of its own."""
+    edges = []
+    for i in range(rungs):
+        j = (i + 1) % rungs
+        edges += [(2 * i, 2 * j), (2 * i + 1, 2 * j + 1), (2 * i, 2 * i + 1)]
+    n = 2 * rungs
+    paths = []
+    for u, v in edges:
+        chain = [u, *range(n, n + subdivisions - 1), v]
+        n += subdivisions - 1
+        paths += zip(chain, chain[1:])
+    return from_edge_list(paths, n)
+
+
 def random_3cnf(num_vars, clauses, seed):
     rng = random.Random(seed)
     return CnfFormula(num_vars, tuple(
@@ -457,6 +474,13 @@ def grid(rows, cols):
     return from_edge_list(edges, rows * cols)
 
 
+def torus(rows, cols):
+    """The rows x cols grid with wrap-around edges: vertex-transitive."""
+    edges = [(v, v - v % cols + (v + 1) % cols) for v in range(rows * cols)]
+    edges += [(v, (v + cols) % (rows * cols)) for v in range(rows * cols)]
+    return from_edge_list(edges, rows * cols)
+
+
 class TestMsBfs:
     @settings(max_examples=200, deadline=None)
     @given(graphs(max_n=14), st.data())
@@ -543,6 +567,18 @@ class TestSolveCertified:
         passes, first = len(calls["bfs"]), calls["bfs"][0]
         assert calls["ms_bfs"] == event["chunks"] == 1
         assert event["passes"] == passes <= 2 * max(bfs(g, first)) + 1
+
+    @pytest.mark.parametrize("g, passes, candidates, rounds", [
+        (circular_ladder(300), 303, 297, 151), (torus(30, 30), 61, 839, 30),
+    ], ids=["prism-600", "torus-30x30"])
+    def test_vertex_transitive_counts_unchanged(self, g, passes, candidates, rounds):
+        """The count gate beside the timing gates: on graphs where no bound
+        prunes, the route makes 2e + 1 passes, then one kernel chunk whose
+        rounds are the diameter."""
+        events = []
+        assert solve_certified(g, events.append) == rounds
+        assert events == [{"passes": passes, "candidates": candidates, "chunks": 1,
+                           "rounds": rounds, "lower": rounds, "upper": rounds}]
 
     def test_settled_bounds_call_no_kernel(self, monkeypatch):
         g = grid(60, 60)
