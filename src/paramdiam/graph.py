@@ -46,10 +46,10 @@ parsed into lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a
 ``fes`` run whose core bounds settle, never loads numpy.
 
 Both parsers and both graph builders drop each temporary as soon as the
-step that uses it is done: the lines, the tokens, the parsed values and the
-per-edge check arrays never outlive their step, and no per-edge key is kept
-beside the rows.  What a parse leaves is its graph, and its peak memory is
-about twice that graph.
+step that uses it is done, keep no per-edge key beside the rows and keep no
+int the graph does not hold: list-built rows share one int per vertex.
+What a parse leaves is its graph, and its peak memory is about 1.6 times
+that graph through lists and 1.4 times through numpy.
 """
 
 from __future__ import annotations
@@ -149,7 +149,8 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     duplicate edge shows as two equal neighbouring keys.  Whenever a check
     fails, :func:`_raise_first_faulty_edge` names the first faulty edge in
     input order.  With ``connected``, too few edges to connect n vertices
-    raise next.  The sorted keys, taken ``% n``, are the rows.
+    raise next.  The sorted keys, taken ``% n``, are the rows, cut at
+    bounds kept in an int64 array.
     """
     import numpy as np
 
@@ -166,13 +167,13 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
         _raise_first_faulty_edge(u.tolist(), v.tolist(), n)
     if connected:
         _check_enough_edges(n, m)
-    ends = np.bincount(u, minlength=n)
-    ends += np.bincount(v, minlength=n)
-    ends = np.cumsum(ends).tolist()
+    bounds = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=bounds[1:])
     np.remainder(key, n, out=key)
     nbrs = tuple(key.tolist())
     del key
-    adjacency = tuple([nbrs[i:j] for i, j in zip([0] + ends, ends)])
+    bounds = memoryview(bounds)  # read one int at a time; tolist() would make n of them
+    adjacency = tuple([nbrs[i:j] for i, j in zip(bounds, bounds[1:])])
     return Graph(n, adjacency, m)
 
 
@@ -189,7 +190,7 @@ def _check_enough_edges(n: int, m: int) -> None:
         raise DisconnectedGraphError(f"{m} edges are too few to connect {n} vertices")
 
 
-def _from_lists(us: list[int], vs: list[int], n: int, connected: bool = False) -> Graph:
+def _from_lists(us: Sequence[int], vs: Sequence[int], n: int, connected: bool = False) -> Graph:
     """The validated Graph on vertices 0..n-1 with the edges (us[i], vs[i]).
 
     The same checks, errors and order as :func:`_from_pairs`, without numpy.
@@ -199,7 +200,8 @@ def _from_lists(us: list[int], vs: list[int], n: int, connected: bool = False) -
     first.  Otherwise the rows are built, and a duplicate edge shows as a
     row with a repeated neighbour.  Whenever a check fails, a per-edge walk
     names the first faulty edge.  Only the rows are built beside the edge
-    lists: no per-edge key is kept.
+    lists, their entries one shared int per vertex, and each row list
+    becomes its tuple in place.
     """
     _check_vertex_count(n)
     m = len(us)
@@ -211,16 +213,20 @@ def _from_lists(us: list[int], vs: list[int], n: int, connected: bool = False) -
     if connected and m < n - 1:
         _raise_first_faulty_edge(us, vs, n)  # a duplicate edge keeps its own error
         _check_enough_edges(n, m)
-    adjacency = [[] for _ in range(n)]
+    ids = list(range(n))  # the one int per vertex that the rows share
+    adjacency = [[] for _ in ids]
     for ends, others in ((us, vs), (vs, us)):
+        others = map(ids.__getitem__, others)
         deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
+    del ids
     if sum(map(len, map(set, adjacency))) < 2 * m:
         _raise_first_faulty_edge(us, vs, n)
     deque(map(list.sort, adjacency), maxlen=0)
-    return Graph(n, tuple(map(tuple, adjacency)), m)
+    adjacency.reverse()  # popped from the end, each row list is freed once its tuple is made
+    return Graph(n, tuple(map(tuple, map(adjacency.pop, repeat(-1, n)))), m)
 
 
-def _raise_first_faulty_edge(us: list[int], vs: list[int], n: int) -> None:
+def _raise_first_faulty_edge(us: Sequence[int], vs: Sequence[int], n: int) -> None:
     seen: set[tuple[int, int]] = set()
     for u, v in zip(us, vs):
         if not (0 <= u < n and 0 <= v < n):
@@ -609,7 +615,8 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, list[int
     adjacency = []
     m = 0
     for v in order:
-        row = tuple(sorted(new_id[w] for w in g.adjacency[v] if w in new_id))
+        # new ids keep the old order, so each filtered row stays sorted
+        row = tuple(map(new_id.__getitem__, filter(new_id.__contains__, g.adjacency[v])))
         m += len(row)
         adjacency.append(row)
     return Graph(len(order), tuple(adjacency), m // 2), order
@@ -657,12 +664,12 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
        allocation: no such graph is connected, whatever its edges.
 
     The list parser counts the fields of each line before it splits the
-    text into tokens, drops the tokens once they are ints and the ints once
-    they are split into the two endpoint lists, and :func:`_from_lists`
-    finds duplicate edges in the rows it builds.  The numpy parser reads
-    one int64 array, and :func:`_from_pairs` sorts one array of edge keys,
-    finds duplicate edges in it and turns it into the rows.  Only the graph
-    outlives the call.
+    text into tokens, reads the tokens into one int64 array and splits it
+    into the two endpoint arrays, and :func:`_from_lists` finds duplicate
+    edges in the rows it builds.  The numpy parser reads one int64 array,
+    and :func:`_from_pairs` sorts one array of edge keys, finds duplicate
+    edges in it and turns it into the rows.  Only the graph outlives the
+    call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
@@ -692,12 +699,14 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
     if max(map(len, tokens)) > 20:
         tokens = [_unpad(t) if len(t) > 20 else t for t in tokens]
     try:
-        values = list(map(int, tokens))
+        try:
+            values = array("q", map(int, tokens))
+        except OverflowError:
+            deque(map(int, tokens), maxlen=0)  # a malformed token anywhere comes first
+            raise EdgeListParseError("malformed edge list: a value outside int64") from None
     except ValueError as exc:
         raise EdgeListParseError(f"malformed edge list: {exc}") from None
     del tokens
-    if min(values) < -(2**63) or max(values) >= 2**63:
-        raise EdgeListParseError("malformed edge list: a value outside int64")
     n, m = values[0], values[1]
     if len(values) // 2 - 1 != m:
         raise EdgeListParseError(
