@@ -39,14 +39,13 @@ def component_diameters(g: Graph, labels: list[int]) -> list[int]:
     leaves behind.  The non-clique case is confirmed by checking that every
     2-step neighborhood ball, grown only through neighbours in the same
     component, covers the whole component (bitmask union per vertex, over
-    masks built only when some component is not a clique).
+    masks built only when some component is not a clique, and component
+    masks only for those components).
     """
     sizes = [0] * (max(labels, default=-1) + 1)
-    comp_mask = [0] * len(sizes)
-    for v, lab in enumerate(labels):
+    for lab in labels:
         if lab >= 0:
             sizes[lab] += 1
-            comp_mask[lab] |= 1 << v
     edge_counts = [0] * len(sizes)
     for u, v in g.edges():
         if labels[u] == labels[v] >= 0:
@@ -57,6 +56,10 @@ def component_diameters(g: Graph, labels: list[int]) -> list[int]:
     ]
     if 2 not in diams:
         return diams
+    comp_mask = [0] * len(sizes)
+    for v, lab in enumerate(labels):
+        if lab >= 0 and diams[lab] == 2:
+            comp_mask[lab] |= 1 << v
     masks = neighbor_masks(g)
     for v, lab in enumerate(labels):
         if lab < 0 or diams[lab] != 2:

@@ -40,6 +40,9 @@ pending cycle the rules peel, so a core without one is isolated vertices
 and is rejected.  Any other core is searched from a high vertex by the
 bounds' first BFS pass, which raises when that pass misses a vertex.
 
+The rules and the cases take no trace sink: :func:`solve_fes` traces once,
+at the core bounds, so a traced run costs the untraced one plus one event.
+
 Up to the core bounds everything runs on Python lists.  numpy is imported
 only by :func:`graph.bfs_rows` for case 1, and by case 3, so a run whose
 bounds settle never loads it.
@@ -160,9 +163,7 @@ def max_weighted_pair_cyclic(
 # Reduction rules
 
 
-def apply_rr2(
-    inst: WeightedDiameterInstance, cycle: Sequence[int], trace: TraceSink = None
-) -> None:
+def apply_rr2(inst: WeightedDiameterInstance, cycle: Sequence[int]) -> None:
     """Remove a pending cycle (anchor-first vertex sequence), keeping the anchor.
 
     Folds the weighted diameter of the cycle into s and the best
@@ -188,23 +189,15 @@ def apply_rr2(
     inst.pen[x0] = max(inst.pen[x0], reach)
     for v in cycle[1:]:
         inst.remove_vertex(v)
-    if trace is not None:
-        trace({
-            "rule": "pending-cycle",
-            "anchor": x0,
-            "removed": list(cycle[1:]),
-            "s": inst.s,
-            "pen_anchor": inst.pen[x0],
-        })
 
 
-def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
+def _rr1_exhaust(inst: WeightedDiameterInstance) -> None:
     """The degree-one rule until no live degree-one vertex is left, as one loop.
 
     Each step removes a live degree-one vertex u with neighbour v, raising s
     to at least pen(u) + pen(v) + 1 and pen(v) to at least pen(u) + 1.  The
     leaves are taken first in ascending order, then each anchor as it drops
-    to degree one, with one ``degree-one`` trace event per removal.
+    to degree one.
     """
     adjacency = inst.graph.adjacency
     alive, deg, pen = inst.alive, inst.deg, inst.pen
@@ -226,14 +219,6 @@ def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
         deg[u] = 0
         deg[v] -= 1
         removed += 1
-        if trace is not None:
-            trace({
-                "rule": "degree-one",
-                "removed": u,
-                "anchor": v,
-                "s": s,
-                "pen_anchor": pen[v],
-            })
         if deg[v] == 1:
             leaves.append(v)
     inst.s = s
@@ -241,7 +226,7 @@ def _rr1_exhaust(inst: WeightedDiameterInstance, trace: TraceSink) -> None:
 
 
 def reduce_exhaustively(
-    inst: WeightedDiameterInstance, trace: TraceSink = None
+    inst: WeightedDiameterInstance,
 ) -> tuple[Graph, list[int], PathCycleDecomposition] | None:
     """Apply both rules until neither fits; returns the core, or None at one vertex.
 
@@ -255,7 +240,7 @@ def reduce_exhaustively(
     means at most one vertex is left and ``inst.s`` is the answer.
     """
     while True:
-        _rr1_exhaust(inst, trace)
+        _rr1_exhaust(inst)
         if inst.alive_count <= 1:
             return None
         red, order, pen = inst.compacted()
@@ -263,7 +248,7 @@ def reduce_exhaustively(
         if not dec.cycles:
             return red, pen, dec
         for cycle in dec.cycles:
-            apply_rr2(inst, [order[v] for v in cycle], trace)
+            apply_rr2(inst, [order[v] for v in cycle])
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +399,8 @@ def case3_all_paths(
 def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     """Exact diameter via the reduction rules, core bounds and the three cases.
 
-    ``trace`` gets the reduction rule events and then one ``core-bounds``
-    event: the core's size, its high vertices, the bounds' BFS passes, and
+    ``trace`` gets one event, ``core-bounds``, when a core of two or more
+    vertices is left: its size, its high vertices, the bounds' BFS passes, and
     ``fallback``, the BFS passes case 1 then adds, or None when the bounds
     left no candidate open and their best is the core's answer.  On
     fallback that best still answers the pairs touching a high vertex, as
@@ -429,7 +414,7 @@ def solve_fes(g: Graph, trace: TraceSink = None) -> int:
     if g.n == 0:
         raise VertexRangeError("diameter undefined for the empty graph")
     inst = WeightedDiameterInstance(g)
-    core = reduce_exhaustively(inst, trace)
+    core = reduce_exhaustively(inst)
     if core is None:
         return inst.s
     red, pen, dec = core

@@ -7,14 +7,17 @@ edgeless graph, connected only on one vertex.  Phase 2
 maintains a diameter candidate e, starting at the largest distance seen in
 the hub tables, and certifies it: a fingerprint pair whose best via-hub
 route exceeds e forces a depth-e BFS in G - H, and a missing vertex of the
-probed fingerprint proves a pair at distance e + 1.
+probed fingerprint proves a pair at distance e + 1.  Then e rises by one
+and the same vertex is probed again.  A vertex certified at e stays
+certified as e grows, so one pass over the vertices certifies the final e,
+with at most one probe per vertex plus one per raise.
 
 Certification works per fingerprint type, not per vertex.  The T distinct
 fingerprints form one int32 (T, h) matrix, and each type's largest via-hub
 distance to any type is computed once, as T numpy reductions over T x h
-entries; no T x T matrix is built, so memory stays O(T * h).  A round for
-e then visits only the vertices whose type reaches beyond e, and takes
-their pending types from one numpy minimum over the matrix.
+entries; no T x T matrix is built, so memory stays O(T * h).  The pass
+skips a vertex whose type reaches no further than the current e, and takes
+a probed vertex's pending types from one numpy minimum over the matrix.
 """
 
 from __future__ import annotations
@@ -99,30 +102,21 @@ def solve_hd(
     # largest via-hub distance from each type to any type
     reach = np.array([np.min(tmat + t, axis=1).max() for t in tmat])
 
-    while True:
-        shortfall = False
-        probes = 0
-        for v in non_hubs[reach[inverse] > e].tolist():
-            via_hub = np.min(tmat + tmat[type_of[v]], axis=1)
+    probes = 0
+    for v in non_hubs[reach[inverse] > e].tolist():
+        tv = type_of[v]
+        while reach[tv] > e:  # a vertex certified at e stays so as e grows
+            via_hub = np.min(tmat + tmat[tv], axis=1)
             pending = np.flatnonzero(via_hub > e).tolist()
             probes += 1
             reached = truncated_bfs_count(g, v, e, type_of, hub_list)
-            for t in pending:
-                if reached.get(t, 0) != totals[t]:
-                    # some vertex of this fingerprint is at distance >= e + 1
-                    if trace is not None:
-                        trace({
-                            "e": e,
-                            "probes": probes,
-                            "vertex": v,
-                            "type": tmat[t].tolist(),
-                        })
-                    shortfall = True
-                    break
-            if shortfall:
+            short = next((t for t in pending if reached.get(t, 0) != totals[t]), None)
+            if short is None:
                 break
-        if not shortfall:
+            # some vertex of this fingerprint is at distance >= e + 1
             if trace is not None:
-                trace({"e": e, "probes": probes, "vertex": None, "type": None})
-            return e
-        e += 1
+                trace({"e": e, "probes": probes, "vertex": v, "type": tmat[short].tolist()})
+            e += 1
+    if trace is not None:
+        trace({"e": e, "probes": probes, "vertex": None, "type": None})
+    return e

@@ -43,7 +43,6 @@ from paramdiam.constructions import CnfFormula
 from paramdiam.fes import WeightedDiameterInstance, _path_sweep
 from paramdiam.graph import (
     UNREACHABLE,
-    TraceSink,
     _bfs,
     _bfs_forest,
     induced_subgraph,
@@ -398,7 +397,7 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -> int:
+def apply_rr1(inst: WeightedDiameterInstance, u: int) -> int:
     """Remove a degree-one vertex, folding its pen weight into the neighbor.
 
     Returns that neighbor.
@@ -409,14 +408,6 @@ def apply_rr1(inst: WeightedDiameterInstance, u: int, trace: TraceSink = None) -
     inst.s = max(inst.s, inst.pen[u] + inst.pen[v] + 1)
     inst.pen[v] = max(inst.pen[u] + 1, inst.pen[v])
     inst.remove_vertex(u)
-    if trace is not None:
-        trace({
-            "rule": "degree-one",
-            "removed": u,
-            "anchor": v,
-            "s": inst.s,
-            "pen_anchor": inst.pen[v],
-        })
     return v
 
 

@@ -318,7 +318,7 @@ def test_criterion_7_passes_independent_of_n(monkeypatch):
         calls.clear()
         events = []
         solve_fes(g, events.append)
-        (event,) = [e for e in events if e.get("phase") == "core-bounds"]
+        (event,) = events
         passes = event["passes"] + (event["fallback"] or 0)
         ok = ok and passes == len(calls) <= 4 * (g.m - g.n)
     report("7 pass-count", ok)

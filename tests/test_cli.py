@@ -100,12 +100,15 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["verify"] == "match"
 
-    def test_trace_goes_to_stderr(self, capsys, path_graph):
-        code, out, err = run(capsys, "solve", path_graph, "--algo", "fes", "--trace")
+    def test_trace_goes_to_stderr(self, capsys, tmp_path):
+        # a theta graph is its own core: three paths between two high vertices
+        p = str(tmp_path / "theta.el")
+        save_edge_list(from_edge_list(_THETA, 5), p)
+        code, out, err = run(capsys, "solve", p, "--algo", "fes", "--trace")
         assert code == 0
-        json.loads(out)  # stdout stays valid JSON
-        events = [json.loads(line) for line in err.splitlines()]
-        assert events and all("rule" in e for e in events)
+        assert json.loads(out)["diameter"] == 2  # stdout stays valid JSON
+        (event,) = [json.loads(line) for line in err.splitlines()]
+        assert event["phase"] == "core-bounds" and event["core_n"] == 5
 
     def test_explicit_modulator(self, capsys, path_graph, tmp_path):
         mod = tmp_path / "k.txt"
@@ -271,7 +274,7 @@ class TestSolve:
         code, out, err = run(capsys, "solve", p, "--algo", "fes", "--trace", "--verify")
         assert code == 0
         assert json.loads(out)["verify"] == "match"
-        (event,) = [e for e in map(json.loads, err.splitlines()) if "phase" in e]
+        (event,) = map(json.loads, err.splitlines())
         assert event["phase"] == "core-bounds" and event["fallback"] is not None
 
     @pytest.mark.parametrize("algo", ["fes", "cograph", "hindex-diam"])

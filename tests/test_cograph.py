@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,25 @@ class TestSolve:
         assert len(calls) == 1
         solve_cograph(g, set())  # K is checked by the component diameters
         assert len(calls) == 1
+
+    def test_no_component_masks_when_every_component_is_a_clique(self):
+        # the friendship graph: 20,000 triangles sharing vertex 0.  G - {0}
+        # is 20,000 edges, so no 2-ball check runs; one mask per component,
+        # as wide as its largest vertex id, would hold about 50 MB of ints
+        t = 20_000
+        g = from_edge_list(
+            [(0, 2 * i + 1) for i in range(t)]
+            + [(0, 2 * i + 2) for i in range(t)]
+            + [(2 * i + 1, 2 * i + 2) for i in range(t)],
+            2 * t + 1,
+        )
+        tracemalloc.start()
+        try:
+            assert solve_cograph(g, {0}) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_oversized_modulator_still_exact(self):
         g = from_edge_list([(0, 1), (1, 2), (2, 3)], 4)

@@ -151,24 +151,35 @@ class TestPerTypeCertification:
                    for seed, n in enumerate((120, 200))]
         graphs += [bisection_construction(gen_tree_plus_k(n, 5, seed)).graph
                    for seed, n in enumerate((150, 300))]
-        rounds = []
+        events_per_graph = []
         for g in graphs:
             events = []
             assert solve_hd(g, None, events.append) == naive_diameter(g)
-            rounds.append(len(events))
-        # e starts below the diameter on most of these, so rounds repeat
-        assert sum(r > 1 for r in rounds) >= len(graphs) // 2
+            events_per_graph.append(len(events))
+        # e starts below the diameter on most of these, so it is raised
+        assert sum(r > 1 for r in events_per_graph) >= len(graphs) // 2
 
-    def test_final_round_probes_match_per_vertex_filter(self):
+    def test_one_pass_probes_within_per_vertex_filter(self):
+        """One pass probes each vertex the filter keeps at the final e, and
+        never more than those it keeps at the first e plus one per raise."""
         graphs = [sparse_er(n, 30 + seed) for seed, n in enumerate((120, 200))]
         graphs += [gen_tree_plus_k(300, 6, 31), gen_tree_plus_k(250, 20, 32)]
         graphs.append(bisection_construction(gen_tree_plus_k(80, 3, 33)).graph)
         for g in graphs:
             events = []
             solve_hd(g, None, events.append)
-            last = events[-1]
+            *shortfalls, last = events
             assert last["vertex"] is None
-            assert last["probes"] == probed_vertices(g, last["e"])
+            first_e = events[0]["e"]
+            assert last["e"] == first_e + len(shortfalls)
+            assert (
+                probed_vertices(g, last["e"])
+                <= last["probes"]
+                <= probed_vertices(g, first_e) + len(shortfalls)
+            )
+            # the pass never returns to a vertex it has left
+            vertices = [ev["vertex"] for ev in shortfalls]
+            assert vertices == sorted(vertices)
 
     def test_shortfall_events_name_a_pending_type(self):
         g = gen_tree_plus_k(600, 8, 41)
