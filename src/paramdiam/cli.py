@@ -29,7 +29,7 @@ both short:
   ``--modulator`` file exits 4.
 - Loading keeps no parse temporary past the step that uses it (see
   ``graph.parse_edge_list``), so what a ``solve`` holds when its solver
-  starts is its graph, and the parse peaks at about twice the graph.
+  starts is its graph, and the parse peaks at about 1.5 times the graph.
 - ``main()`` with no ``argv`` (``python -m paramdiam.cli`` and the
   ``paramdiam`` console script) turns off the cyclic garbage collector and
   freezes the import heap before parsing, and again when the run ends.

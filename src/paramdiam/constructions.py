@@ -19,7 +19,8 @@ from .errors import (
     GenerationError,
     VertexRangeError,
 )
-from .graph import Graph, _from_pairs, from_edge_list, is_connected
+from .bulk import _from_pairs
+from .graph import Graph, from_edge_list, is_connected
 
 
 @dataclass(frozen=True)

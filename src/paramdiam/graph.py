@@ -43,20 +43,23 @@ numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
 lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
 parsed into lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a
-``fes`` run whose core bounds settle, never loads numpy.
+``fes`` run whose core bounds settle, never loads numpy.  The builders
+that take a whole edge list at once, numpy's and the list parser's exact
+walk, live in ``bulk``, which loads only when a run calls one.
 
 Both parsers and both graph builders drop each temporary as soon as the
 step that uses it is done, keep no per-edge key beside the rows and keep no
 int the graph does not hold: list-built rows share one int per vertex.
-What a parse leaves is its graph, and its peak memory is about 1.6 times
-that graph through lists and 1.4 times through numpy.
+The list parser reads its text a chunk of lines at a time straight into
+the rows, so beside them it holds one chunk's tokens, never the whole
+text's.  What a parse leaves is its graph, and its peak memory is about
+1.5 times that graph through lists (1.2 on dense graphs) and 1.4 times
+through numpy.
 """
 
 from __future__ import annotations
 
-import io
 import re
-import warnings
 from array import array
 from collections import deque
 from itertools import chain, compress, count, repeat
@@ -65,12 +68,10 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
-    DuplicateEdgeError,
     EdgeListParseError,
     GraphInputError,
     MemoryLimitError,
     ParamDiamError,
-    SelfLoopError,
     VertexRangeError,
 )
 
@@ -137,106 +138,40 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
         raise not_pairs from None
     except OverflowError as exc:
         raise VertexRangeError(f"vertex id outside 0..{n - 1}") from exc
+    from .bulk import _from_pairs
+
     return _from_pairs(flat.reshape(-1, 2), n)
 
 
-def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
-    """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``.
-
-    The same checks, errors and order as :func:`_from_lists`.  Vectorised
-    scans find an endpoint out of range or a self-loop.  Both directions of
-    every edge become one key ``src * n + dst``, sorted in place, and a
-    duplicate edge shows as two equal neighbouring keys.  Whenever a check
-    fails, :func:`_raise_first_faulty_edge` names the first faulty edge in
-    input order.  With ``connected``, too few edges to connect n vertices
-    raise next.  The sorted keys, taken ``% n``, are the rows, cut at
-    bounds kept in an int64 array.
-    """
-    import numpy as np
-
-    _check_vertex_count(n)
-    u, v = pairs[:, 0], pairs[:, 1]
-    m = len(pairs)
-    if m and (pairs.min() < 0 or pairs.max() >= n or (u == v).any()):
-        _raise_first_faulty_edge(u.tolist(), v.tolist(), n)
-    key = np.concatenate((u, v))
-    key *= n
-    key += np.concatenate((v, u))
-    key.sort()
-    if (key[1:] == key[:-1]).any():
-        _raise_first_faulty_edge(u.tolist(), v.tolist(), n)
-    if connected:
-        _check_enough_edges(n, m)
-    bounds = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=bounds[1:])
-    np.remainder(key, n, out=key)
-    nbrs = tuple(key.tolist())
-    del key
-    bounds = memoryview(bounds)  # read one int at a time; tolist() would make n of them
-    adjacency = tuple([nbrs[i:j] for i, j in zip(bounds, bounds[1:])])
-    return Graph(n, adjacency, m)
+def _grow_rows(ids: list[int], adjacency: list[list[int]], n: int) -> None:
+    """Extend ``ids`` and ``adjacency`` to n vertices: one shared int and one empty row each."""
+    have = len(ids)
+    if n > have:
+        ids += range(have, n)
+        adjacency += [[] for _ in range(have, n)]
 
 
-def _check_vertex_count(n: int) -> None:
-    if n < 0:
-        raise VertexRangeError(f"negative vertex count {n}")
-    if n > MAX_VERTICES:
-        raise VertexRangeError(f"vertex count {n} above {MAX_VERTICES}")
-
-
-def _check_enough_edges(n: int, m: int) -> None:
-    """Raise for n >= 2 vertices and fewer than n - 1 edges: no such graph is connected."""
-    if n >= 2 and m < n - 1:
-        raise DisconnectedGraphError(f"{m} edges are too few to connect {n} vertices")
-
-
-def _from_lists(us: Sequence[int], vs: Sequence[int], n: int, connected: bool = False) -> Graph:
-    """The validated Graph on vertices 0..n-1 with the edges (us[i], vs[i]).
-
-    The same checks, errors and order as :func:`_from_pairs`, without numpy.
-    C-level scans of ``us`` and ``vs`` find an endpoint out of range or a
-    self-loop.  With ``connected``, too few edges raise next, before any
-    per-vertex allocation, unless a walk over the edges finds a duplicate
-    first.  Otherwise the rows are built, and a duplicate edge shows as a
-    row with a repeated neighbour.  Whenever a check fails, a per-edge walk
-    names the first faulty edge.  Only the rows are built beside the edge
-    lists, their entries one shared int per vertex, and each row list
-    becomes its tuple in place.
-    """
-    _check_vertex_count(n)
-    m = len(us)
-    if us and (
-        min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n
-        or any(map(eq, us, vs))
-    ):
-        _raise_first_faulty_edge(us, vs, n)
-    if connected and m < n - 1:
-        _raise_first_faulty_edge(us, vs, n)  # a duplicate edge keeps its own error
-        _check_enough_edges(n, m)
-    ids = list(range(n))  # the one int per vertex that the rows share
-    adjacency = [[] for _ in ids]
+def _add_edges(
+    ids: list[int], adjacency: list[list[int]], us: Sequence[int], vs: Sequence[int]
+) -> None:
+    """Append each edge (us[i], vs[i]) to both its rows, each end as its int in ``ids``."""
     for ends, others in ((us, vs), (vs, us)):
         others = map(ids.__getitem__, others)
         deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
-    del ids
+
+
+def _finish_rows(adjacency: list[list[int]], m: int) -> Graph | None:
+    """The Graph of the row lists of m edges, or None if a row repeats a neighbour.
+
+    Each row list becomes its sorted tuple in place, so no list of lists
+    lives beside the tuple of tuples.
+    """
     if sum(map(len, map(set, adjacency))) < 2 * m:
-        _raise_first_faulty_edge(us, vs, n)
+        return None
     deque(map(list.sort, adjacency), maxlen=0)
+    n = len(adjacency)
     adjacency.reverse()  # popped from the end, each row list is freed once its tuple is made
     return Graph(n, tuple(map(tuple, map(adjacency.pop, repeat(-1, n)))), m)
-
-
-def _raise_first_faulty_edge(us: Sequence[int], vs: Sequence[int], n: int) -> None:
-    seen: set[tuple[int, int]] = set()
-    for u, v in zip(us, vs):
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
-        pair = (u, v) if u < v else (v, u)
-        if pair in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
-        seen.add(pair)
 
 
 def _bfs(
@@ -435,7 +370,8 @@ def bounding_diameters(
     from the candidates in the boolean mask ``pool`` while any is left.
     Ties go to the first in the candidates' order: higher degree first,
     then lower id.  Each pool source's distance row is kept as an int32
-    ``array('i')``.  With no ``pool`` and pen = 0 this is plain
+    ``array('i')`` while the kept rows fit ``BFS_ROWS_MAX_BYTES``.  With no
+    ``pool`` and pen = 0 this is plain
     BoundingDiameters, and a vertex-transitive graph takes n passes.
 
     Stops after ``budget`` BFS passes at the latest, or, when ``budget`` is
@@ -475,7 +411,8 @@ def bounding_diameters(
             raise DisconnectedGraphError("graph is not connected")
         passes += 1
         if i < npool:
-            rows[source] = array("i", dist)
+            if 4 * (len(rows) + 1) * n <= BFS_ROWS_MAX_BYTES:
+                rows[source] = array("i", dist)
             npool -= 1
         ps = pen[source]
         reach = list(map(add, dist, pen))
@@ -663,16 +600,20 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
        edges raises :class:`DisconnectedGraphError` before any per-vertex
        allocation: no such graph is connected, whatever its edges.
 
-    The list parser counts the fields of each line before it splits the
-    text into tokens, reads the tokens into one int64 array and splits it
-    into the two endpoint arrays, and :func:`_from_lists` finds duplicate
-    edges in the rows it builds.  The numpy parser reads one int64 array,
-    and :func:`_from_pairs` sorts one array of edge keys, finds duplicate
+    The list parser reads the text in chunks cut at line ends.  It splits
+    each line once, into the fields it counts and reads as ints, checks
+    their range and self-loops and appends each edge to the rows; a
+    duplicate edge shows as a row with a repeated neighbour.  At the first
+    anomaly it walks the whole text again at once, and that walk raises in
+    the order above.  The numpy parser reads one int64 array,
+    and ``bulk._from_pairs`` sorts one array of edge keys, finds duplicate
     edges in it and turns it into the rows.  Only the graph outlives the
     call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
+        from .bulk import _parse_with_numpy
+
         return _parse_with_numpy(text, connected)
     return _parse_with_lists(text, connected)
 
@@ -682,72 +623,71 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
         text = _COMMENT.sub("", text)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    # fields per non-blank line, counted before the text is tokenised, so the
-    # lines are gone before the tokens exist
-    widths = set(map(len, map(str.split, text.split("\n")))) - {0}
-    if not widths:
-        raise EdgeListParseError("empty input")
-    if widths != {2}:
-        raise EdgeListParseError("malformed edge list: every row needs two fields")
-    tokens = text.split()
-    # int() also takes '_' between digits and non-ASCII digits; the token
-    # pattern is checked only when the text holds either
-    if not (text.isascii() and "_" not in text) and not all(map(_TOKEN.fullmatch, tokens)):
-        raise EdgeListParseError("malformed edge list: a token is no decimal integer")
-    # int() refuses more than sys.get_int_max_str_digits() digits even when
-    # they are leading zeros, which numpy reads; no int64 needs 21 characters
-    if max(map(len, tokens)) > 20:
-        tokens = [_unpad(t) if len(t) > 20 else t for t in tokens]
-    try:
+    g = _parse_in_chunks(text, connected)
+    if g is None:
+        from .bulk import _parse_exactly
+
+        return _parse_exactly(text, connected)
+    return g
+
+
+# Characters per chunk of _parse_in_chunks, which cuts each at the next line end
+_CHUNK_CHARS = 1 << 11
+
+
+def _parse_in_chunks(text: str, connected: bool) -> Graph | None:
+    """The graph of a clean edge-list text, or None at the first anomaly.
+
+    Walks the text a chunk of lines at a time.  Each line is split once,
+    into the fields that are both its width and its tokens.  A chunk's ints
+    are checked for range and self-loops while they are still Python ints,
+    then appended to the rows, which grow only as far as the largest vertex
+    read until the whole text is read.  A text or edge error, a header the
+    exact walk must judge, or a duplicate edge gives None.
+    """
+    if not text.isascii() or "_" in text:
+        return None  # int() reads non-ASCII digits and 1_0; leave them to the token pattern
+    ids: list[int] = []
+    adjacency: list[list[int]] = []
+    n = m = None
+    edges = start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        rows = list(filter(None, map(str.split, text[start:stop].split("\n"))))
+        start = stop
+        if set(map(len, rows)) - {2}:
+            return None
         try:
-            values = array("q", map(int, tokens))
-        except OverflowError:
-            deque(map(int, tokens), maxlen=0)  # a malformed token anywhere comes first
-            raise EdgeListParseError("malformed edge list: a value outside int64") from None
-    except ValueError as exc:
-        raise EdgeListParseError(f"malformed edge list: {exc}") from None
-    del tokens
-    n, m = values[0], values[1]
-    if len(values) // 2 - 1 != m:
-        raise EdgeListParseError(
-            f"header declares {m} edges but {len(values) // 2 - 1} edge lines found"
-        )
-    us, vs = values[2::2], values[3::2]
-    del values
-    return _from_lists(us, vs, n, connected)
+            ints = list(map(int, chain.from_iterable(rows)))
+        except ValueError:  # a malformed token, or more digits than int() reads
+            return None
+        del rows
+        if not ints:
+            continue
+        if n is None:
+            n, m = ints[0], ints[1]
+            del ints[:2]
+            if not 0 <= n <= MAX_VERTICES or connected and m < n - 1:
+                return None
+        us, vs = ints[0::2], ints[1::2]
+        top = max(ints, default=-1)
+        if min(ints, default=0) < 0 or top >= n or any(map(eq, us, vs)):
+            return None
+        del ints
+        edges += len(us)
+        _grow_rows(ids, adjacency, top + 1)
+        _add_edges(ids, adjacency, us, vs)
+    if n is None or edges != m:
+        return None
+    _grow_rows(ids, adjacency, n)
+    del ids
+    return _finish_rows(adjacency, m)
 
 
 def _unpad(token: str) -> str:
     """``token`` without the leading zeros of its digits."""
     sign, digits = (token[0], token[1:]) if token[0] in "+-" else ("", token)
     return sign + (digits.lstrip("0") or "0")
-
-
-def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
-    import numpy as np
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            # numpy 1.23 to 2.x read a field such as 1.5 or 1e3 via a float,
-            # truncated it and only warned; raise instead, so the grammar is
-            # the same on every numpy.
-            warnings.simplefilter("error", DeprecationWarning)
-            rows = np.loadtxt(
-                io.StringIO(text, newline=None), dtype=np.int64, comments="#", ndmin=2
-            )
-    except (ValueError, DeprecationWarning) as exc:
-        raise EdgeListParseError(f"malformed edge list: {exc}") from None
-    if rows.size == 0:
-        raise EdgeListParseError("empty input")
-    if rows.shape[1] != 2:
-        raise EdgeListParseError(f"expected 'n m' header, got {rows[0].tolist()}")
-    n, m = rows[0].tolist()
-    if len(rows) - 1 != m:
-        raise EdgeListParseError(
-            f"header declares {m} edges but {len(rows) - 1} edge lines found"
-        )
-    return _from_pairs(rows[1:], n, connected)
 
 
 def format_edge_list(g: Graph, comment: str | None = None) -> str:

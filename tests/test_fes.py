@@ -848,6 +848,43 @@ class TestCoreBounds:
         (event,) = events
         assert event["fallback"] == 3 and len(calls) == event["passes"]
 
+    def test_bounds_keep_rows_only_within_the_budget(self, monkeypatch):
+        # the ladder core's bounds never settle, and without the budget they
+        # would keep all 120 rows before solve_fes checks it and raises
+        g = circular_ladder(60, 5)
+        red, _, dec = reduced_core(g)
+        table = 4 * len(dec.high) * red.n
+        budget = 64 * 1024
+        assert table > 6 * budget
+
+        def peak(limit):
+            monkeypatch.setattr(paramdiam.graph, "BFS_ROWS_MAX_BYTES", limit)
+            tracemalloc.start()
+            try:
+                with pytest.raises(MemoryLimitError, match=(
+                    f"a distance table from {len(dec.high)} sources over {red.n} vertices"
+                )):
+                    solve_fes(g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        rowless = peak(0)
+        assert rowless < table
+        assert peak(budget) <= rowless + budget + 4096  # the rows' headers and dict
+
+    def test_settling_core_needs_no_room_for_its_rows(self, monkeypatch):
+        # the budget holds 11 of the bounds' 14 rows, and the bounds settle
+        g = gen_tree_plus_k(2000, 60, 2)
+        red, _, dec = reduced_core(g)
+        budget = 16 * 1024
+        assert 4 * len(dec.high) * red.n > budget
+        monkeypatch.setattr(paramdiam.graph, "BFS_ROWS_MAX_BYTES", budget)
+        events = []
+        assert solve_fes(g, events.append) == naive_diameter(g)
+        (event,) = events
+        assert event["fallback"] is None and event["passes"] > budget // (4 * red.n)
+
     def test_fallback_peak_is_about_one_int32_row_per_high_vertex(self):
         # the kept rows are int32, and case 1 copies none of them; a kept
         # row of Python ints takes several times its int32 size.  tracemalloc
