@@ -643,7 +643,8 @@ def _parse_in_chunks(text: str, connected: bool) -> Graph | None:
     are checked for range and self-loops while they are still Python ints,
     then appended to the rows, which grow only as far as the largest vertex
     read until the whole text is read.  A text or edge error, a header the
-    exact walk must judge, or a duplicate edge gives None.
+    exact walk must judge, an id of at least half the text's length or a
+    duplicate edge gives None.
     """
     if not text.isascii() or "_" in text:
         return None  # int() reads non-ASCII digits and 1_0; leave them to the token pattern
@@ -672,6 +673,12 @@ def _parse_in_chunks(text: str, connected: bool) -> Graph | None:
         us, vs = ints[0::2], ints[1::2]
         top = max(ints, default=-1)
         if min(ints, default=0) < 0 or top >= n or any(map(eq, us, vs)):
+            return None
+        # every vertex that ends an edge takes two characters of the text at
+        # least, so an id past half its length leaves vertices out of every
+        # edge; the exact walk checks the whole text before it builds a row,
+        # so a short faulty text never builds rows for the n of its header
+        if top >= len(text) // 2:
             return None
         del ints
         edges += len(us)

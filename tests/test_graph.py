@@ -979,6 +979,24 @@ class TestEdgeListFormat:
             monkeypatch.setattr(paramdiam.graph, "_CHUNK_CHARS", chunk)
             assert outcome() == whole
 
+    @pytest.mark.parametrize("text, error", [
+        ("400000 2\n0 399999\n", EdgeListParseError),
+        ("400000 2\n0 399999\n3 3\n", SelfLoopError),
+        ("400000 2\n0 399999\n3 400000\n", VertexRangeError),
+    ])
+    def test_short_faulty_text_builds_no_row_for_a_far_vertex(self, monkeypatch, text, error):
+        # the fault lies in a later chunk than the far vertex, and is still
+        # found before a row is built for the 400,000 vertices of the header
+        monkeypatch.setattr(paramdiam.graph, "_CHUNK_CHARS", 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                _parse_with_lists(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())
     def test_fuzz_matches_line_reference(self, text):
