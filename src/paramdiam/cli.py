@@ -59,8 +59,8 @@ from .errors import (
     ParamDiamError,
 )
 from .graph import (
-    _TOKEN,
     Graph,
+    _ints,
     _read_text,
     load_edge_list,
     naive_diameter,
@@ -81,13 +81,10 @@ MODULATOR_ALGOS = ("cograph", "hindex-diam", "clique")
 
 def _load_modulator(path: str) -> set[int]:
     toks = _read_text(path, InvalidModulatorError).split()
-    # the edge-list token grammar: int() alone reads 1_0 as 10 and non-ASCII digits
     try:
-        if all(map(_TOKEN.fullmatch, toks)):
-            return set(map(int, toks))
-    except ValueError:  # more digits than int() reads
-        pass
-    raise InvalidModulatorError(f"non-integer vertex id in {path}")
+        return set(_ints([toks], True))  # the edge-list token grammar in full
+    except ValueError:
+        raise InvalidModulatorError(f"non-integer vertex id in {path}") from None
 
 
 def _trace_sink(enabled: bool):

@@ -43,9 +43,9 @@ numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
 lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
 parsed into lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a
-``fes`` run whose core bounds settle, never loads numpy.  The builders
-that take a whole edge list at once, numpy's and the list parser's exact
-walk, live in ``bulk``, which loads only when a run calls one.
+``fes`` run whose core bounds settle, never loads numpy.  numpy's builder
+and the ranking of the errors of a text the list parser refused live in
+``bulk``, which loads only when a run calls one.
 
 Both parsers and both graph builders drop each temporary as soon as the
 step that uses it is done, keep no per-edge key beside the rows and keep no
@@ -141,37 +141,6 @@ def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
     from .bulk import _from_pairs
 
     return _from_pairs(flat.reshape(-1, 2), n)
-
-
-def _grow_rows(ids: list[int], adjacency: list[list[int]], n: int) -> None:
-    """Extend ``ids`` and ``adjacency`` to n vertices: one shared int and one empty row each."""
-    have = len(ids)
-    if n > have:
-        ids += range(have, n)
-        adjacency += [[] for _ in range(have, n)]
-
-
-def _add_edges(
-    ids: list[int], adjacency: list[list[int]], us: Sequence[int], vs: Sequence[int]
-) -> None:
-    """Append each edge (us[i], vs[i]) to both its rows, each end as its int in ``ids``."""
-    for ends, others in ((us, vs), (vs, us)):
-        others = map(ids.__getitem__, others)
-        deque(map(list.append, map(adjacency.__getitem__, ends), others), maxlen=0)
-
-
-def _finish_rows(adjacency: list[list[int]], m: int) -> Graph | None:
-    """The Graph of the row lists of m edges, or None if a row repeats a neighbour.
-
-    Each row list becomes its sorted tuple in place, so no list of lists
-    lives beside the tuple of tuples.
-    """
-    if sum(map(len, map(set, adjacency))) < 2 * m:
-        return None
-    deque(map(list.sort, adjacency), maxlen=0)
-    n = len(adjacency)
-    adjacency.reverse()  # popped from the end, each row list is freed once its tuple is made
-    return Graph(n, tuple(map(tuple, map(adjacency.pop, repeat(-1, n)))), m)
 
 
 def _bfs(
@@ -604,8 +573,10 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     each line once, into the fields it counts and reads as ints, checks
     their range and self-loops and appends each edge to the rows; a
     duplicate edge shows as a row with a repeated neighbour.  At the first
-    anomaly it walks the whole text again at once, and that walk raises in
-    the order above.  The numpy parser reads one int64 array,
+    anomaly it stops, and ``bulk._raise_first_error`` walks the same chunks
+    again, without building, and raises in the order above; a text it
+    finds clean, refused only for a vertex id past half the text's length,
+    is built by the chunked walk again.  The numpy parser reads one int64 array,
     and ``bulk._from_pairs`` sorts one array of edge keys, finds duplicate
     edges in it and turns it into the rows.  Only the graph outlives the
     call.
@@ -623,78 +594,111 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
         text = _COMMENT.sub("", text)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    g = _parse_in_chunks(text, connected)
+    # int() also takes '_' between digits and non-ASCII digits; the token
+    # pattern is checked only when the text holds either
+    grammar = not text.isascii() or "_" in text
+    # every vertex that ends an edge takes two characters of the text at
+    # least, so an id past half its length leaves vertices out of every edge;
+    # such a text is judged whole before a row is built for it, so a short
+    # faulty text never builds rows for the n of its header
+    g = _parse_in_chunks(text, grammar, connected, len(text) // 2)
     if g is None:
-        from .bulk import _parse_exactly
+        from .bulk import _raise_first_error
 
-        return _parse_exactly(text, connected)
+        _raise_first_error(text, grammar, connected)  # returns for a clean text only
+        g = _parse_in_chunks(text, grammar, connected, MAX_VERTICES)
     return g
 
 
-# Characters per chunk of _parse_in_chunks, which cuts each at the next line end
+# Characters per chunk of _chunks, which cuts each at the next line end
 _CHUNK_CHARS = 1 << 11
 
 
-def _parse_in_chunks(text: str, connected: bool) -> Graph | None:
+def _chunks(text: str) -> Iterator[list[list[str]]]:
+    """The fields of the nonblank lines of ``text``, a chunk of lines at a time."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield list(filter(None, map(str.split, text[start:stop].split("\n"))))
+        start = stop
+
+
+def _ints(rows: list[list[str]], grammar: bool) -> list[int]:
+    """The ints of the tokens in ``rows``; ValueError for a token off the edge-list grammar.
+
+    With ``grammar`` every token must match ``_TOKEN`` as well.  int()
+    refuses more than ``sys.get_int_max_str_digits()`` digits even when they
+    are leading zeros, which numpy reads, so only when it refuses a token are
+    those longer than any int64 needs unpadded.
+    """
+    if grammar and not all(map(_TOKEN.fullmatch, chain.from_iterable(rows))):
+        raise ValueError("a token is no decimal integer")
+    try:
+        return list(map(int, chain.from_iterable(rows)))
+    except ValueError:
+        return [int(_unpad(t) if len(t) > 20 else t) for t in chain.from_iterable(rows)]
+
+
+def _parse_in_chunks(text: str, grammar: bool, connected: bool, far: int) -> Graph | None:
     """The graph of a clean edge-list text, or None at the first anomaly.
 
-    Walks the text a chunk of lines at a time.  Each line is split once,
-    into the fields that are both its width and its tokens.  A chunk's ints
-    are checked for range and self-loops while they are still Python ints,
-    then appended to the rows, which grow only as far as the largest vertex
-    read until the whole text is read.  A text or edge error, a header the
-    exact walk must judge, an id of at least half the text's length or a
-    duplicate edge gives None.
+    Walks :func:`_chunks` of the text.  A chunk's ints are checked for range
+    and self-loops while they are still Python ints, then each edge goes
+    into both its rows, each end as the one int per vertex that the rows
+    share.  The rows grow only as far as the largest vertex read until the
+    whole text is read.  A text or edge error, a header that fails the
+    vertex count or, with ``connected``, has too few edges, a vertex id of
+    at least ``far`` or a duplicate edge, which shows as a row with a
+    repeated neighbour, gives None.
     """
-    if not text.isascii() or "_" in text:
-        return None  # int() reads non-ASCII digits and 1_0; leave them to the token pattern
     ids: list[int] = []
     adjacency: list[list[int]] = []
     n = m = None
-    edges = start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        rows = list(filter(None, map(str.split, text[start:stop].split("\n"))))
-        start = stop
+    edges = 0
+    for rows in _chunks(text):
         if set(map(len, rows)) - {2}:
             return None
         try:
-            ints = list(map(int, chain.from_iterable(rows)))
-        except ValueError:  # a malformed token, or more digits than int() reads
+            ints = _ints(rows, grammar)
+        except ValueError:
             return None
         del rows
         if not ints:
             continue
         if n is None:
-            n, m = ints[0], ints[1]
-            del ints[:2]
+            n, m, *ints = ints
             if not 0 <= n <= MAX_VERTICES or connected and m < n - 1:
                 return None
         us, vs = ints[0::2], ints[1::2]
         top = max(ints, default=-1)
-        if min(ints, default=0) < 0 or top >= n or any(map(eq, us, vs)):
-            return None
-        # every vertex that ends an edge takes two characters of the text at
-        # least, so an id past half its length leaves vertices out of every
-        # edge; the exact walk checks the whole text before it builds a row,
-        # so a short faulty text never builds rows for the n of its header
-        if top >= len(text) // 2:
+        if min(ints, default=0) < 0 or top >= n or any(map(eq, us, vs)) or top >= far:
             return None
         del ints
         edges += len(us)
-        _grow_rows(ids, adjacency, top + 1)
-        _add_edges(ids, adjacency, us, vs)
+        ids += range(len(ids), top + 1)
+        adjacency += [[] for _ in range(len(adjacency), top + 1)]
+        for ends, others in ((us, vs), (vs, us)):
+            # no map over ids outlives the loop, so del ids below frees it
+            ends = map(adjacency.__getitem__, ends)
+            deque(map(list.append, ends, map(ids.__getitem__, others)), maxlen=0)
     if n is None or edges != m:
         return None
-    _grow_rows(ids, adjacency, n)
+    ids += range(len(ids), n)
+    adjacency += [[] for _ in range(len(adjacency), n)]
     del ids
-    return _finish_rows(adjacency, m)
+    if sum(map(len, map(set, adjacency))) < 2 * m:
+        return None
+    # each row list becomes its sorted tuple in place, popped from the end,
+    # so no list of lists lives beside the tuple of tuples
+    deque(map(list.sort, adjacency), maxlen=0)
+    adjacency.reverse()
+    return Graph(n, tuple(map(tuple, map(adjacency.pop, repeat(-1, n)))), m)
 
 
 def _unpad(token: str) -> str:
     """``token`` without the leading zeros of its digits."""
-    sign, digits = (token[0], token[1:]) if token[0] in "+-" else ("", token)
-    return sign + (digits.lstrip("0") or "0")
+    signed = token[0] in "+-"
+    return token[:signed] + (token[signed:].lstrip("0") or "0")
 
 
 def format_edge_list(g: Graph, comment: str | None = None) -> str:

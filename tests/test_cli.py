@@ -263,6 +263,24 @@ class TestSolve:
         assert code == 4
         assert out == "" and "non-integer vertex id" in err
 
+    def test_modulator_id_of_5000_leading_zeros_acts_like_the_id(self, capsys, tmp_path):
+        # more digits than int() reads, as an edge-list token may have:
+        # removing 1 from K_{2,9} on sides {1, 10} leaves a star
+        p = str(tmp_path / "k29.el")
+        save_edge_list(
+            from_edge_list([(c, v) for c in (1, 10) for v in range(11) if v not in (1, 10)], 11),
+            p,
+        )
+        mod = tmp_path / "k.txt"
+        mod.write_text("0" * 5000 + "1\n")
+        code, out, _ = run(
+            capsys, "solve", p, "--algo", "cograph", "--modulator", str(mod), "--verify"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["verify"] == "match"
+        assert report["parameters"] == {"cograph_modulator_size": 1}
+
     def test_fes_fallback_runs_and_verifies(self, capsys, tmp_path):
         # the bounds do not settle this core: cases 1-3 answer it
         p = str(tmp_path / "g.el")

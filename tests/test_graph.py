@@ -36,7 +36,7 @@ from paramdiam.constructions import (
     sat_to_diameter,
 )
 import paramdiam.graph
-from paramdiam.bulk import _from_lists, _parse_with_numpy
+from paramdiam.bulk import _parse_with_numpy
 from paramdiam.graph import (
     _CHUNK_CHARS,
     UNREACHABLE,
@@ -190,8 +190,8 @@ class TestConstruction:
     )
     def test_matches_per_edge_reference(self, case):
         edges, n = case
-        us, vs = [u for u, _ in edges], [v for _, v in edges]
-        for build in (lambda: from_edge_list(edges, n), lambda: _from_lists(us, vs, n)):
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        for build in (lambda: from_edge_list(edges, n), lambda: _parse_with_lists(text)):
             try:
                 want = edge_list_reference(edges, n)
             except GraphInputError as exc:
@@ -842,6 +842,13 @@ LATE_FAULTS = [([(kind, row)], 0) for kind in FAULT_KINDS
 ]
 LATE_FAULT_IDS = ["+".join(f"{kind}@{row}" for kind, row in faults) for faults, _ in LATE_FAULTS]
 
+# LATE_FAULTS again, and a valid token of 5000 leading zeros on the first
+# edge row with a self-loop in a later chunk, as (faults, winner, padded)
+GRAMMAR_FAULTS = [(faults, winner, False) for faults, winner in LATE_FAULTS] + [
+    ([("self-loop", "chunk-start")], 0, True),
+]
+GRAMMAR_FAULT_IDS = LATE_FAULT_IDS + ["padded@first+self-loop@chunk-start"]
+
 
 class TestEdgeListFormat:
     def test_round_trip(self):
@@ -961,6 +968,37 @@ class TestEdgeListFormat:
             assert (type(got.value), str(got.value)) == (error, message)
         with pytest.raises(error):
             _parse_with_numpy(text)
+
+    @pytest.mark.parametrize("faults, winner, padded", GRAMMAR_FAULTS, ids=GRAMMAR_FAULT_IDS)
+    def test_faults_anywhere_in_a_text_the_token_pattern_checks(self, faults, winner, padded):
+        # one U+00A0 separator makes every token of the text meet the token
+        # pattern, which words a non-decimal token its own way; the list
+        # parse still ranks the faults of every chunk as on an ASCII text
+        rows = fault_rows(sparse_text())
+        lines = sparse_text().split("\n")
+        lines[5] = lines[5].replace(" ", "\xa0")
+        raised = {}
+        for kind, row in sorted(faults, key=lambda f: rows[f[1]], reverse=True):
+            raised[kind, row] = put_fault(lines, rows[row], kind)
+        if padded:
+            lines[rows["first"]] = "0" * 5000 + lines[rows["first"]]
+        error, message = raised[faults[winner]]
+        if message.startswith("malformed edge list: invalid literal"):
+            message = "malformed edge list: a token is no decimal integer"
+        text = "\n".join(lines)
+        for parse in (_parse_with_lists, parse_edge_list):
+            with pytest.raises(GraphInputError) as got:
+                parse(text)
+            assert (type(got.value), str(got.value)) == (error, message)
+
+    def test_token_off_the_grammar_outranks_an_earlier_token_too_long_for_int(self, monkeypatch):
+        # int() refuses a token of 4400 digits for its length alone; a token
+        # off the grammar in a later chunk is still the error reported
+        monkeypatch.setattr(paramdiam.graph, "_CHUNK_CHARS", 1)
+        for parse in (_parse_with_lists, parse_edge_list):
+            with pytest.raises(EdgeListParseError) as got:
+                parse("3 2\n0 " + "1" * 4400 + "\n1 \u0661\n")
+            assert str(got.value) == "malformed edge list: a token is no decimal integer"
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts(), st.integers(1, 12))

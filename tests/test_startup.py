@@ -190,7 +190,7 @@ def test_in_process_solve_loads_no_other_solver_and_keeps_the_gc(cycle_file, alg
 @pytest.mark.parametrize("algo", ["auto", "fes", "msbfs"])
 def test_small_solve_loads_no_numpy(settling_file, algo):
     # below LIST_PARSE_MAX_EDGES, and with fes's core bounds settled, numpy
-    # is not needed either, nor the whole-list builders of a valid text
+    # is not needed either, nor bulk, which only a refused list parse loads
     out = solve_in_process(settling_file, algo, ON_DEMAND + ("numpy", "paramdiam.bulk"))
     assert out == {"code": 0, "gc": [[True, 0], [True, 0]], "loaded": []}
 
