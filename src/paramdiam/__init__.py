@@ -36,7 +36,7 @@ _SUBMODULE = {
     "VertexRangeError": "errors",
     "Graph": "graph",
     "format_edge_list": "graph",
-    "from_edge_list": "graph",
+    "from_edge_list": "bulk",
     "load_edge_list": "graph",
     "naive_diameter": "graph",
     "parse_edge_list": "graph",

@@ -1,9 +1,10 @@
 """The numpy graph builder and the list parse's error ranking, loaded only on use.
 
 :func:`_from_pairs` builds the validated graph of an int64 (m, 2) array
-with numpy, for :func:`graph.from_edge_list`, the generators and
+with numpy, for :func:`from_edge_list`, the generators and
 :func:`_parse_with_numpy`, the parse of an edge list of at least
-``graph.LIST_PARSE_MAX_EDGES`` edges.  :func:`_raise_first_error` ranks
+``graph.LIST_PARSE_MAX_EDGES`` edges.  Its rows share one int per vertex,
+as the list parser's do.  :func:`_raise_first_error` ranks
 the errors of a text the list parser refused, reading it through the
 list parser's own chunks and ints, and builds nothing.  ``solve`` on a
 small valid edge list never imports this module, so it never compiles it
@@ -15,12 +16,14 @@ from __future__ import annotations
 import io
 import warnings
 from itertools import chain, islice
+from operator import index
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DisconnectedGraphError,
     DuplicateEdgeError,
     EdgeListParseError,
+    GraphInputError,
     SelfLoopError,
     VertexRangeError,
 )
@@ -30,17 +33,52 @@ if TYPE_CHECKING:
     import numpy as np
 
 
+def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
+    """Build a validated Graph from an edge list over vertices 0..n-1.
+
+    Each edge is a pair of integers: Python ints, numpy integer scalars, or
+    a row of an (m, 2) integer ndarray.  Any other pair, such as
+    ``(0, 1, 2)``, ``(2,)``, ``(0.5, 1)`` or ``("0", "1")``, raises
+    :class:`GraphInputError`.  Rejects a vertex count outside
+    0..2**31 - 1, out-of-range endpoints, self-loops and duplicate
+    (including symmetric) edges with distinct error types; the error names
+    the first faulty edge in input order.
+    """
+    import numpy as np
+
+    edges = list(edges)
+    not_pairs = GraphInputError("edges must be (u, v) pairs of integers")
+    try:
+        if set(map(len, edges)) - {2}:
+            raise not_pairs
+        # index() takes ints and numpy integers, and raises TypeError on the rest
+        flat = np.fromiter(
+            map(index, chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges)
+        )
+    except TypeError:
+        raise not_pairs from None
+    except OverflowError as exc:
+        raise VertexRangeError(f"vertex id outside 0..{n - 1}") from exc
+    return _from_pairs(flat.reshape(-1, 2), n)
+
+
 def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
-    """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``.
+    """The validated Graph on vertices 0..n-1 with the int64 (m, 2) ``pairs``."""
+    return _cut_rows(*_sorted_rows(pairs, n, connected))
+
+
+def _sorted_rows(pairs: np.ndarray, n: int, connected: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the graph with the edges ``pairs``: int32 neighbours and their bounds.
 
     The same checks, errors and order as the list parse.  Vectorised scans
-    find an endpoint out of range or a self-loop.  Both directions of
-    every edge become one key ``src * n + dst``, sorted in place, and a
-    duplicate edge shows as two equal neighbouring keys.  Whenever a check
-    fails, :func:`_raise_first_faulty_edge` names the first faulty edge in
-    input order.  With ``connected``, too few edges to connect n vertices
-    raise next.  The sorted keys, taken ``% n``, are the rows, cut at
-    bounds kept in an int64 array.
+    find an endpoint out of range or a self-loop.  Both directions of every
+    edge become one key ``src * n + dst``, sorted in place, and a duplicate
+    edge shows as two equal neighbouring keys.  Whenever a check fails,
+    :func:`_raise_first_faulty_edge` names the first faulty edge in input
+    order.  With ``connected``, too few edges to connect n vertices raise
+    next.  The sorted keys, taken ``% n``, are the neighbours, and row v's
+    lie from ``bounds[v]`` up to ``bounds[v + 1]``.  Both arrays are new, so
+    no view of ``pairs`` outlives the call.
     """
     import numpy as np
 
@@ -60,11 +98,33 @@ def _from_pairs(pairs: np.ndarray, n: int, connected: bool = False) -> Graph:
     bounds = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(u, minlength=n) + np.bincount(v, minlength=n), out=bounds[1:])
     np.remainder(key, n, out=key)
-    nbrs = tuple(key.tolist())
-    del key
-    bounds = memoryview(bounds)  # read one int at a time; tolist() would make n of them
-    adjacency = tuple([nbrs[i:j] for i, j in zip(bounds, bounds[1:])])
-    return Graph(n, adjacency, m)
+    return key.astype(np.int32), bounds
+
+
+# Neighbours per chunk when the rows are cut
+_CUT_CHUNK = 1 << 11
+
+
+def _cut_rows(nbrs: np.ndarray, bounds: np.ndarray) -> Graph:
+    """The Graph whose row v is ``nbrs[bounds[v]:bounds[v + 1]]``.
+
+    Every entry is the one int of its vertex, picked from an object array
+    of them a chunk of about ``_CUT_CHUNK`` neighbours at a time, so the rows
+    share n ints, not 2m, and no chunk's temporaries outgrow the chunk.
+    """
+    import numpy as np
+
+    n = len(bounds) - 1
+    ids = np.arange(n, dtype=object)
+
+    def rows(a: int, b: int) -> list[tuple[int, ...]]:
+        lo = bounds[a]
+        picked = tuple(ids.take(nbrs[lo:bounds[b]]).tolist())
+        ends = memoryview(bounds[a:b + 1] - lo)  # one int at a time, not b - a of them
+        return [picked[i:j] for i, j in zip(ends, ends[1:])]
+
+    cuts = [0, *np.searchsorted(bounds, range(_CUT_CHUNK, len(nbrs), _CUT_CHUNK)).tolist(), n]
+    return Graph(n, tuple(chain.from_iterable(map(rows, cuts, cuts[1:]))), len(nbrs) // 2)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -137,6 +197,11 @@ def _raise_first_error(text: str, grammar: bool, connected: bool) -> None:
 
 
 def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
+    """The numpy parse of ``parse_edge_list``: one int64 array, then its keys, then the rows.
+
+    Neither the text, which the caller hands over as its only reference,
+    nor the loadtxt array is alive while the rows are cut.
+    """
     import numpy as np
 
     try:
@@ -151,6 +216,7 @@ def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
             )
     except (ValueError, DeprecationWarning) as exc:
         raise EdgeListParseError(f"malformed edge list: {exc}") from None
+    del text
     if rows.size == 0:
         raise EdgeListParseError("empty input")
     if rows.shape[1] != 2:
@@ -160,4 +226,6 @@ def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
         raise EdgeListParseError(
             f"header declares {m} edges but {len(rows) - 1} edge lines found"
         )
-    return _from_pairs(rows[1:], n, connected)
+    nbrs, bounds = _sorted_rows(rows[1:], n, connected)
+    del rows
+    return _cut_rows(nbrs, bounds)

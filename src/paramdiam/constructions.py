@@ -19,8 +19,8 @@ from .errors import (
     GenerationError,
     VertexRangeError,
 )
-from .bulk import _from_pairs
-from .graph import Graph, from_edge_list, is_connected
+from .bulk import _from_pairs, from_edge_list
+from .graph import Graph, is_connected
 
 
 @dataclass(frozen=True)

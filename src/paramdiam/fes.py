@@ -51,7 +51,8 @@ bounds settle never loads it.
 from __future__ import annotations
 
 from collections import deque
-from itertools import compress
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import ContractViolationError, DisconnectedGraphError, VertexRangeError
@@ -71,9 +72,10 @@ if TYPE_CHECKING:
 class WeightedDiameterInstance:
     """Mutable reduction state over the input graph, which is shared, not copied.
 
-    ``alive`` masks the removed vertices; ``deg[v]`` is the number of alive
-    neighbours of an alive v, 0 once v is removed.  ``pen`` and ``s`` are
-    the weights and the folded-away scalar described above.
+    ``alive`` is one byte per vertex, 0 once it is removed; ``deg[v]`` is
+    the number of alive neighbours of an alive v, 0 once v is removed.
+    ``pen`` and ``s`` are the weights and the folded-away scalar described
+    above.
     """
 
     __slots__ = ("graph", "alive", "deg", "pen", "s", "alive_count", "n")
@@ -81,7 +83,7 @@ class WeightedDiameterInstance:
     def __init__(self, graph: Graph, pen: Sequence[int] | None = None, s: int = 0):
         self.graph = graph
         self.n = graph.n
-        self.alive = [True] * graph.n
+        self.alive = bytearray(b"\x01") * graph.n
         self.deg = [len(nbrs) for nbrs in graph.adjacency]
         self.alive_count = graph.n
         if pen is None:
@@ -202,13 +204,16 @@ def _rr1_exhaust(inst: WeightedDiameterInstance) -> None:
     adjacency = inst.graph.adjacency
     alive, deg, pen = inst.alive, inst.deg, inst.pen
     s = inst.s
-    leaves = [u for u in range(inst.n) if deg[u] == 1]
+    # the first leaves come one at a time from a snapshot of one byte per
+    # vertex, and each anchor is the int its row entry holds, so the queue
+    # makes no int per vertex
+    anchors: list[int] = []
     removed = 0
-    for u in leaves:  # grows while it is walked: a FIFO queue
+    for u in chain(compress(range(inst.n), bytes(map(eq, deg, repeat(1)))), anchors):
         if deg[u] != 1:
             continue
         for v in adjacency[u]:
-            if alive[v]:
+            if deg[v]:  # of u's neighbours, only the alive one has a degree
                 break
         pu, pv = pen[u], pen[v]
         if pu + pv + 1 > s:
@@ -220,7 +225,7 @@ def _rr1_exhaust(inst: WeightedDiameterInstance) -> None:
         deg[v] -= 1
         removed += 1
         if deg[v] == 1:
-            leaves.append(v)
+            anchors.append(v)
     inst.s = s
     inst.alive_count -= removed
 

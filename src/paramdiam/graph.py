@@ -40,21 +40,21 @@ where a bound moves.  It returns its best lower bound on the diameter and
 the open candidates with their upper bounds, which is all its callers read.
 
 numpy is imported only by the functions that need it: :func:`bfs_rows`,
-:func:`fingerprint_types`, :func:`from_edge_list` and the parse of edge
-lists of at least ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is
-parsed into lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a
-``fes`` run whose core bounds settle, never loads numpy.  numpy's builder
-and the ranking of the errors of a text the list parser refused live in
-``bulk``, which loads only when a run calls one.
+:func:`fingerprint_types` and the parse of edge lists of at least
+``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is parsed into
+lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a ``fes`` run whose
+core bounds settle, never loads numpy.  numpy's builder, with
+``from_edge_list``, and the ranking of the errors of a text the list
+parser refused live in ``bulk``, which loads only when a run calls one.
 
 Both parsers and both graph builders drop each temporary as soon as the
 step that uses it is done, keep no per-edge key beside the rows and keep no
-int the graph does not hold: list-built rows share one int per vertex.
-The list parser reads its text a chunk of lines at a time straight into
-the rows, so beside them it holds one chunk's tokens, never the whole
-text's.  What a parse leaves is its graph, and its peak memory is about
-1.5 times that graph through lists (1.2 on dense graphs) and 1.4 times
-through numpy.
+int the graph does not hold: every builder's rows share one int per
+vertex.  The list parser reads its text a chunk of lines at a time
+straight into the rows, so beside them it holds one chunk's tokens, never
+the whole text's.  What a parse leaves is its graph, and its peak memory
+is about 1.5 times that graph through lists (1.2 on dense graphs) and 1.3
+times through numpy.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ import re
 from array import array
 from collections import deque
 from itertools import chain, compress, count, repeat
-from operator import add, eq, gt, index, lt, sub
+from operator import add, eq, gt, lt, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraphError,
     EdgeListParseError,
-    GraphInputError,
     MemoryLimitError,
     ParamDiamError,
     VertexRangeError,
@@ -88,7 +87,7 @@ class Graph:
     """Undirected simple graph in compact adjacency form.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``.  Use
-    :func:`from_edge_list` to build a validated instance.
+    :func:`bulk.from_edge_list` to build a validated instance.
     """
 
     __slots__ = ("n", "m", "adjacency")
@@ -110,37 +109,6 @@ class Graph:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Graph(n={self.n}, m={self.m})"
-
-
-def from_edge_list(edges: Iterable[tuple[int, int]], n: int) -> Graph:
-    """Build a validated Graph from an edge list over vertices 0..n-1.
-
-    Each edge is a pair of integers: Python ints, numpy integer scalars, or
-    a row of an (m, 2) integer ndarray.  Any other pair, such as
-    ``(0, 1, 2)``, ``(2,)``, ``(0.5, 1)`` or ``("0", "1")``, raises
-    :class:`GraphInputError`.  Rejects a vertex count outside
-    0..2**31 - 1, out-of-range endpoints, self-loops and duplicate
-    (including symmetric) edges with distinct error types; the error names
-    the first faulty edge in input order.
-    """
-    import numpy as np
-
-    edges = list(edges)
-    not_pairs = GraphInputError("edges must be (u, v) pairs of integers")
-    try:
-        if set(map(len, edges)) - {2}:
-            raise not_pairs
-        # index() takes ints and numpy integers, and raises TypeError on the rest
-        flat = np.fromiter(
-            map(index, chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges)
-        )
-    except TypeError:
-        raise not_pairs from None
-    except OverflowError as exc:
-        raise VertexRangeError(f"vertex id outside 0..{n - 1}") from exc
-    from .bulk import _from_pairs
-
-    return _from_pairs(flat.reshape(-1, 2), n)
 
 
 def _bfs(
@@ -555,7 +523,7 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     ``#`` starts a comment to the end of its line, blank lines are skipped,
     and ``\n``, ``\r\n`` and ``\r`` all end a line.  Anything else, such as
     ``1.0``, ``0x1`` or ``1_000``, raises :class:`EdgeListParseError`;
-    an invalid graph raises what :func:`from_edge_list` raises.
+    an invalid graph raises what :func:`bulk.from_edge_list` raises.
 
     A header declaring fewer than ``LIST_PARSE_MAX_EDGES`` edges is parsed
     without numpy.  Either parser checks, in this order:
@@ -575,17 +543,21 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     duplicate edge shows as a row with a repeated neighbour.  At the first
     anomaly it stops, and ``bulk._raise_first_error`` walks the same chunks
     again, without building, and raises in the order above; a text it
-    finds clean, refused only for a vertex id past half the text's length,
-    is built by the chunked walk again.  The numpy parser reads one int64 array,
-    and ``bulk._from_pairs`` sorts one array of edge keys, finds duplicate
-    edges in it and turns it into the rows.  Only the graph outlives the
-    call.
+    finds clean, refused only for a vertex id of at least the text's count
+    of digits, is built by the chunked walk again.  The numpy parser reads
+    one int64 array and drops the text, sorts one array of edge keys, finds
+    duplicate edges in it and drops the int64 array before it cuts the
+    rows.  Only the graph outlives the call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
         from .bulk import _parse_with_numpy
 
-        return _parse_with_numpy(text, connected)
+        # hand the text over, so that the numpy parse holds its only
+        # reference (the header match holds one too) and drops it once read
+        held = [text]
+        del text, header
+        return _parse_with_numpy(held.pop(), connected)
     return _parse_with_lists(text, connected)
 
 
@@ -597,11 +569,12 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
     # int() also takes '_' between digits and non-ASCII digits; the token
     # pattern is checked only when the text holds either
     grammar = not text.isascii() or "_" in text
-    # every vertex that ends an edge takes two characters of the text at
-    # least, so an id past half its length leaves vertices out of every edge;
-    # such a text is judged whole before a row is built for it, so a short
-    # faulty text never builds rows for the n of its header
-    g = _parse_in_chunks(text, grammar, connected, len(text) // 2)
+    # every vertex that ends an edge is written with one digit at least, so
+    # an id of at least the text's digit count leaves vertices out of every
+    # edge; such a text is judged whole before a row is built for it, so a
+    # faulty text with few digits never builds rows for the n of its
+    # header, however much whitespace pads it
+    g = _parse_in_chunks(text, grammar, connected, sum(map(text.count, "0123456789")))
     if g is None:
         from .bulk import _raise_first_error
 

@@ -471,9 +471,12 @@ def sparse_text():
 # and the numpy rows are sliced at int64 bounds.  Reading the text in
 # 2 KiB chunks straight into the rows takes the list ratio to 1.49, and
 # that of the dense text of gen_random_cograph_plus(400, 0, 0), 62,109
-# edges, from 8.15 to 1.17 (Python 3.11).
+# edges, from 8.15 to 1.17.  Sharing one int per vertex in the numpy rows
+# too takes the numpy ratio to 1.51, as the same temporaries sit over a
+# smaller graph; cutting the rows a chunk at a time from int32 neighbours,
+# with the loadtxt array dropped first, takes it to 1.28 (Python 3.11).
 @pytest.mark.parametrize(
-    "parse, bound", [(_parse_with_lists, 1.75), (_parse_with_numpy, 1.5)]
+    "parse, bound", [(_parse_with_lists, 1.75), (_parse_with_numpy, 1.4)]
 )
 def test_parse_peaks_near_the_graph_it_returns(parse, bound):
     assert parse_peak_over_graph(parse, sparse_text()) <= bound
@@ -486,6 +489,16 @@ def test_dense_list_parse_peaks_near_the_graph_it_returns():
 
 def test_list_parsed_rows_share_one_int_per_vertex():
     g = _parse_with_lists(sparse_text())
+    entries = list(chain.from_iterable(g.adjacency))
+    assert len(set(map(id, entries))) == len(set(entries)) == g.n
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _parse_with_numpy(sparse_text()),
+    lambda: gen_tree_plus_k(20000, 300, 1),
+], ids=["parsed", "generated"])
+def test_numpy_parsed_rows_share_one_int_per_vertex(build):
+    g = build()
     entries = list(chain.from_iterable(g.adjacency))
     assert len(set(map(id, entries))) == len(set(entries)) == g.n
 
@@ -1034,6 +1047,23 @@ class TestEdgeListFormat:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_whitespace_padded_faulty_text_builds_no_row_for_a_far_vertex(self, monkeypatch):
+        # the self-loop case above with 0.76 MiB of padding, which the walk
+        # copies once as its chunk: only the digits of a text bound its far
+        # vertex, so the error and its message are the same and no row is
+        # built for the header's n
+        monkeypatch.setattr(paramdiam.graph, "_CHUNK_CHARS", 1)
+        text = "400000 2\n0 399999\n" + " " * 800000 + "\n3 3\n"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SelfLoopError) as got:
+                _parse_with_lists(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == "self-loop at vertex 3"
+        assert peak < 2 << 20
 
     @settings(max_examples=400, deadline=None)
     @given(edge_list_texts())

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
@@ -104,6 +105,17 @@ def test_every_export_resolves():
     assert out["bound"] == out["all"] and out["home"] == out["all"]
     assert out["unknown"] == "AttributeError"
 
+
+
+def test_graph_module_stays_below_the_parser_token_step():
+    # Without a bytecode cache every solve compiles graph.py.  CPython's
+    # parser doubles its token array once a module passes 4096 tokens
+    # (comments and blank lines are none), and that compile's peak then
+    # rises by about 0.22 MB, which perfbench's peak RSS shows.
+    with open(os.path.join(SRC, "paramdiam", "graph.py"), "rb") as fh:
+        tokens = tokenize.tokenize(fh.readline)
+        kept = [t for t in tokens if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    assert len(kept) < 4096
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
 def test_cli_pins_blas_to_one_thread():
