@@ -13,11 +13,10 @@ either.
 
 from __future__ import annotations
 
-import io
 import warnings
 from itertools import chain, islice
 from operator import index
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DisconnectedGraphError,
@@ -124,7 +123,10 @@ def _cut_rows(nbrs: np.ndarray, bounds: np.ndarray) -> Graph:
         return [picked[i:j] for i, j in zip(ends, ends[1:])]
 
     cuts = [0, *np.searchsorted(bounds, range(_CUT_CHUNK, len(nbrs), _CUT_CHUNK)).tolist(), n]
-    return Graph(n, tuple(chain.from_iterable(map(rows, cuts, cuts[1:]))), len(nbrs) // 2)
+    # the rows go into a list before their tuple: a tuple grown in place
+    # rejoins the GC's youngest generation at each resize, and every
+    # collection while the GC is on then walks it whole
+    return Graph(n, tuple([*chain.from_iterable(map(rows, cuts, cuts[1:]))]), len(nbrs) // 2)
 
 
 def _check_vertex_count(n: int) -> None:
@@ -196,6 +198,28 @@ def _raise_first_error(text: str, grammar: bool, connected: bool) -> None:
         _check_enough_edges(n, m)
 
 
+# Characters per chunk of _lines, which cuts each at the next line end
+_LINE_CHARS = 1 << 16
+
+
+def _lines(text: str) -> Iterator[list[str]]:
+    r"""The lines of ``text`` without their ends, a list per chunk of lines.
+
+    ``\n``, ``\r\n`` and ``\r`` end a line, as in
+    ``io.StringIO(text, newline=None)``, which yields the same lines but
+    first copies the whole text at four bytes per character.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _LINE_CHARS)
+        if stop < 0:
+            stop = len(text) - 1 if text.endswith("\n") else len(text)
+        yield text[start:stop].split("\n")
+        start = stop + 1
+
+
 def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
     """The numpy parse of ``parse_edge_list``: one int64 array, then its keys, then the rows.
 
@@ -212,7 +236,7 @@ def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
             # the same on every numpy.
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(
-                io.StringIO(text, newline=None), dtype=np.int64, comments="#", ndmin=2
+                chain.from_iterable(_lines(text)), dtype=np.int64, comments="#", ndmin=2
             )
     except (ValueError, DeprecationWarning) as exc:
         raise EdgeListParseError(f"malformed edge list: {exc}") from None

@@ -1,4 +1,5 @@
 import functools
+import io
 import math
 import random
 import time
@@ -35,8 +36,9 @@ from paramdiam.constructions import (
     gen_tree_plus_k,
     sat_to_diameter,
 )
+import paramdiam.bulk
 import paramdiam.graph
-from paramdiam.bulk import _parse_with_numpy
+from paramdiam.bulk import _lines, _parse_with_numpy
 from paramdiam.graph import (
     _CHUNK_CHARS,
     UNREACHABLE,
@@ -474,7 +476,7 @@ def sparse_text():
 # edges, from 8.15 to 1.17.  Sharing one int per vertex in the numpy rows
 # too takes the numpy ratio to 1.51, as the same temporaries sit over a
 # smaller graph; cutting the rows a chunk at a time from int32 neighbours,
-# with the loadtxt array dropped first, takes it to 1.28 (Python 3.11).
+# with the loadtxt array dropped first, takes it to 1.34 (Python 3.11).
 @pytest.mark.parametrize(
     "parse, bound", [(_parse_with_lists, 1.75), (_parse_with_numpy, 1.4)]
 )
@@ -491,6 +493,16 @@ def test_list_parsed_rows_share_one_int_per_vertex():
     g = _parse_with_lists(sparse_text())
     entries = list(chain.from_iterable(g.adjacency))
     assert len(set(map(id, entries))) == len(set(entries)) == g.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="01 #\n\r\x0b\x85", max_size=40), st.integers(0, 8))
+def test_numpy_parse_reads_the_lines_stringio_gives(text, chunk):
+    # loadtxt numbers the rows of its errors by these lines
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(paramdiam.bulk, "_LINE_CHARS", chunk)
+        got = list(chain.from_iterable(_lines(text)))
+    assert got == [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
 
 
 @pytest.mark.parametrize("build", [
