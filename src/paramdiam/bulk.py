@@ -1,22 +1,25 @@
-"""The numpy graph builder and the list parse's error ranking, loaded only on use.
+"""The numpy graph builder, the numpy parse and the list parse's error ranking, loaded on use.
 
 :func:`_from_pairs` builds the validated graph of an int64 (m, 2) array
-with numpy, for :func:`from_edge_list`, the generators and
-:func:`_parse_with_numpy`, the parse of an edge list of at least
-``graph.LIST_PARSE_MAX_EDGES`` edges.  Its rows share one int per vertex,
-as the list parser's do.  :func:`_raise_first_error` ranks
-the errors of a text the list parser refused, reading it through the
-list parser's own chunks and ints, and builds nothing.  ``solve`` on a
-small valid edge list never imports this module, so it never compiles it
-either.
+with numpy, for :func:`from_edge_list` and the generators.  Its rows share
+one int per vertex, as the list parser's do.  :func:`_parse_with_numpy`,
+the parse of an edge list of at least ``graph.LIST_PARSE_MAX_EDGES``
+edges, is a fast path only: it checks the graph of an ASCII text that
+``np.loadtxt`` reads as an ``n m`` header and m two-field rows, and hands
+every other text to the list parse, which alone decides the grammar and
+the order and messages of the text errors.  :func:`_raise_first_error` ranks
+the errors of a text the list parser refused, reading it through the list
+parser's own chunks and ints, and builds nothing.  ``solve`` on a small
+valid edge list never imports this module, so it never compiles it either.
 """
 
 from __future__ import annotations
 
 import warnings
+from contextlib import suppress
 from itertools import chain, islice
 from operator import index
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DisconnectedGraphError,
@@ -26,7 +29,7 @@ from .errors import (
     SelfLoopError,
     VertexRangeError,
 )
-from .graph import MAX_VERTICES, Graph, _chunks, _ints
+from .graph import MAX_VERTICES, Graph, _chunks, _ints, _lines, _parse_with_lists
 
 if TYPE_CHECKING:
     import numpy as np
@@ -198,58 +201,32 @@ def _raise_first_error(text: str, grammar: bool, connected: bool) -> None:
         _check_enough_edges(n, m)
 
 
-# Characters per chunk of _lines, which cuts each at the next line end
-_LINE_CHARS = 1 << 16
-
-
-def _lines(text: str) -> Iterator[list[str]]:
-    r"""The lines of ``text`` without their ends, a list per chunk of lines.
-
-    ``\n``, ``\r\n`` and ``\r`` end a line, as in
-    ``io.StringIO(text, newline=None)``, which yields the same lines but
-    first copies the whole text at four bytes per character.
-    """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _LINE_CHARS)
-        if stop < 0:
-            stop = len(text) - 1 if text.endswith("\n") else len(text)
-        yield text[start:stop].split("\n")
-        start = stop + 1
-
-
 def _parse_with_numpy(text: str, connected: bool = False) -> Graph:
     """The numpy parse of ``parse_edge_list``: one int64 array, then its keys, then the rows.
 
-    Neither the text, which the caller hands over as its only reference,
-    nor the loadtxt array is alive while the rows are cut.
+    A text that is not ASCII or that ``np.loadtxt`` refuses, or whose rows
+    are not an ``n m`` header and m two-field rows, goes to
+    :func:`graph._parse_with_lists`, which raises its first error or builds
+    it.  Neither the text, which the caller hands over as its only
+    reference, nor the loadtxt array is alive while the rows are cut.
     """
     import numpy as np
 
-    try:
-        with warnings.catch_warnings():
+    rows = None
+    # loadtxt reads some non-ASCII characters, such as U+2466 (a circled 7), as digits
+    if text.isascii():
+        with warnings.catch_warnings(), suppress(ValueError, DeprecationWarning):
             warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
             # numpy 1.23 to 2.x read a field such as 1.5 or 1e3 via a float,
-            # truncated it and only warned; raise instead, so the grammar is
-            # the same on every numpy.
+            # truncated it and only warned; refuse it instead, so the grammar
+            # is the same on every numpy.
             warnings.simplefilter("error", DeprecationWarning)
             rows = np.loadtxt(
                 chain.from_iterable(_lines(text)), dtype=np.int64, comments="#", ndmin=2
             )
-    except (ValueError, DeprecationWarning) as exc:
-        raise EdgeListParseError(f"malformed edge list: {exc}") from None
+    if rows is None or rows.shape[1] != 2 or rows[0, 1] != len(rows) - 1:
+        return _parse_with_lists(text, connected)
     del text
-    if rows.size == 0:
-        raise EdgeListParseError("empty input")
-    if rows.shape[1] != 2:
-        raise EdgeListParseError(f"expected 'n m' header, got {rows[0].tolist()}")
-    n, m = rows[0].tolist()
-    if len(rows) - 1 != m:
-        raise EdgeListParseError(
-            f"header declares {m} edges but {len(rows) - 1} edge lines found"
-        )
-    nbrs, bounds = _sorted_rows(rows[1:], n, connected)
+    nbrs, bounds = _sorted_rows(rows[1:], int(rows[0, 0]), connected)
     del rows
     return _cut_rows(nbrs, bounds)

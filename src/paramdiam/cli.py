@@ -26,7 +26,8 @@ both short:
   n - 1 edges exits 3 before any per-vertex allocation.  A malformed or
   non-UTF-8 text, or an edge out of range, a self-loop or a duplicate
   edge, exits 2 first.  So does a non-UTF-8 CNF file; a non-UTF-8
-  ``--modulator`` file exits 4.
+  ``--modulator`` file exits 4.  An edge list's ``error:`` line is the same
+  whichever parser its header picks: the list parser words every text error.
 - Loading keeps no parse temporary past the step that uses it (see
   ``graph.parse_edge_list``), so what a ``solve`` holds when its solver
   starts is its graph, and the parse peaks at about 1.5 times the graph.

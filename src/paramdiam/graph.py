@@ -43,9 +43,13 @@ numpy is imported only by the functions that need it: :func:`bfs_rows`,
 :func:`fingerprint_types` and the parse of edge lists of at least
 ``LIST_PARSE_MAX_EDGES`` edges.  A smaller edge list is parsed into
 lists, so ``solve`` on it, by ``naive``, ``msbfs`` or a ``fes`` run whose
-core bounds settle, never loads numpy.  numpy's builder, with
+core bounds settle, never loads numpy.  numpy's builder and parse, with
 ``from_edge_list``, and the ranking of the errors of a text the list
 parser refused live in ``bulk``, which loads only when a run calls one.
+
+The list parser alone decides the edge-list grammar and the text errors;
+the numpy parse is a fast path that hands it every text ``np.loadtxt``
+does not read cleanly.  Both cut the text into lines with :func:`_lines`.
 
 Both parsers and both graph builders drop each temporary as soon as the
 step that uses it is done, keep no per-edge key beside the rows and keep no
@@ -526,7 +530,7 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     an invalid graph raises what :func:`bulk.from_edge_list` raises.
 
     A header declaring fewer than ``LIST_PARSE_MAX_EDGES`` edges is parsed
-    without numpy.  Either parser checks, in this order:
+    without numpy.  The list parser checks, in this order:
 
     1. the text: not empty, two fields on every row, decimal int64 tokens,
        and as many edge rows as the header declares;
@@ -547,7 +551,10 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
     of digits, is built by the chunked walk again.  The numpy parser reads
     one int64 array and drops the text, sorts one array of edge keys, finds
     duplicate edges in it and drops the int64 array before it cuts the
-    rows.  Only the graph outlives the call.
+    rows, with the same graph checks in the same order.  A text that is not
+    ASCII, that ``np.loadtxt`` refuses or whose rows are not a header and
+    m two-field rows goes to the list parser, so either route raises the
+    same error with the same message.  Only the graph outlives the call.
     """
     header = _HEADER.match(text)
     if header is not None and int(_unpad(header[1])[:20]) >= LIST_PARSE_MAX_EDGES:
@@ -564,8 +571,6 @@ def parse_edge_list(text: str, connected: bool = False) -> Graph:
 def _parse_with_lists(text: str, connected: bool = False) -> Graph:
     if "#" in text:
         text = _COMMENT.sub("", text)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     # int() also takes '_' between digits and non-ASCII digits; the token
     # pattern is checked only when the text holds either
     grammar = not text.isascii() or "_" in text
@@ -583,17 +588,24 @@ def _parse_with_lists(text: str, connected: bool = False) -> Graph:
     return g
 
 
-# Characters per chunk of _chunks, which cuts each at the next line end
+# Characters per chunk of _lines, which cuts each at the next line end
 _CHUNK_CHARS = 1 << 11
+
+
+def _lines(text: str) -> Iterator[list[str]]:
+    r"""The lines of ``text``, a chunk of them at a time; ``\n``, ``\r\n`` and ``\r`` end one."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield text[start:stop].split("\n")
+        start = stop
 
 
 def _chunks(text: str) -> Iterator[list[list[str]]]:
     """The fields of the nonblank lines of ``text``, a chunk of lines at a time."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield list(filter(None, map(str.split, text[start:stop].split("\n"))))
-        start = stop
+    return (list(filter(None, map(str.split, lines))) for lines in _lines(text))
 
 
 def _ints(rows: list[list[str]], grammar: bool) -> list[int]:

@@ -1,5 +1,4 @@
 import functools
-import io
 import math
 import random
 import time
@@ -19,6 +18,7 @@ from paramdiam import (
     Graph,
     GraphInputError,
     MemoryLimitError,
+    ParamDiamError,
     SelfLoopError,
     VertexRangeError,
     format_edge_list,
@@ -38,7 +38,7 @@ from paramdiam.constructions import (
 )
 import paramdiam.bulk
 import paramdiam.graph
-from paramdiam.bulk import _lines, _parse_with_numpy
+from paramdiam.bulk import _parse_with_numpy
 from paramdiam.graph import (
     _CHUNK_CHARS,
     UNREACHABLE,
@@ -65,7 +65,8 @@ from oracles import (
 
 
 # the two edge-list parsers behind parse_edge_list, which picks one by the
-# header's edge count; both implement one grammar
+# header's edge count; the list parser decides the grammar, and the numpy
+# parser hands it every text that np.loadtxt does not read cleanly
 PARSERS = (_parse_with_lists, _parse_with_numpy)
 
 
@@ -495,14 +496,21 @@ def test_list_parsed_rows_share_one_int_per_vertex():
     assert len(set(map(id, entries))) == len(set(entries)) == g.n
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="01 #\n\r\x0b\x85", max_size=40), st.integers(0, 8))
-def test_numpy_parse_reads_the_lines_stringio_gives(text, chunk):
-    # loadtxt numbers the rows of its errors by these lines
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(paramdiam.bulk, "_LINE_CHARS", chunk)
-        got = list(chain.from_iterable(_lines(text)))
-    assert got == [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(edge_list_texts(), st.text(alphabet="01 #\n\r\x0b\x85", max_size=40)))
+def test_numpy_parse_gives_what_the_list_parse_gives(text):
+    # the numpy parse reads only what np.loadtxt reads cleanly and hands
+    # every other text to the list parse: the same graph, or the same error
+    # with the same message
+    def outcome(parse, connected):
+        try:
+            g = parse(text, connected)
+        except ParamDiamError as exc:
+            return type(exc), str(exc)
+        return g.n, g.m, g.adjacency
+
+    for connected in (False, True):
+        assert outcome(_parse_with_numpy, connected) == outcome(_parse_with_lists, connected)
 
 
 @pytest.mark.parametrize("build", [
@@ -918,15 +926,17 @@ class TestEdgeListFormat:
             g = parse(f"{pad}3 +{pad}2\n-{pad}0 {pad}2\n+{pad}1 {pad}\n")
             assert g.adjacency == ((1, 2), (0,), (0,))
 
-    @pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "1e1", "+-1", "9" * 20])
+    # loadtxt reads some non-ASCII characters, such as a circled 7, as digits
+    @pytest.mark.parametrize("token", ["1_0", "1.0", "0x1", "1e1", "+-1", "9" * 20, "\u2466", "\u0663"])
     def test_rejects_non_decimal_ids(self, token):
         for parse in (parse_edge_list, *PARSERS):
             with pytest.raises(EdgeListParseError):
                 parse(f"11 1\n0 {token}\n")
 
-    # Pinned messages of the list parse, which numpy's loadtxt words its own
-    # way: a value outside int64 has one message, and a malformed token
-    # anywhere in the text is reported before an earlier overflow.
+    # Pinned messages of the list parse, which words the errors of every
+    # text the numpy parse hands it: a value outside int64 has one message,
+    # and a malformed token anywhere in the text is reported before an
+    # earlier overflow.
     @pytest.mark.parametrize("text, message", [
         ("3 1\n0 9223372036854775808\n", "malformed edge list: a value outside int64"),
         ("3 1\n0 -9223372036854775809\n", "malformed edge list: a value outside int64"),
@@ -934,14 +944,15 @@ class TestEdgeListFormat:
          "malformed edge list: invalid literal for int() with base 10: 'x'"),
     ])
     def test_int64_overflow_messages(self, text, message):
-        for parse in (_parse_with_lists, parse_edge_list):
+        for parse in (parse_edge_list, *PARSERS):
             with pytest.raises(EdgeListParseError) as got:
                 parse(text)
             assert type(got.value) is EdgeListParseError and str(got.value) == message
 
     def test_rejects_ids_numpy_reads_via_float(self, monkeypatch):
         # numpy 1.23 to 2.x parse "1.5" as int64 1 and only emit a
-        # DeprecationWarning; stand in for that fallback on any numpy.
+        # DeprecationWarning; stand in for that fallback on any numpy.  The
+        # numpy parse hands the text to the list parse, which words the error.
         def via_float(*args, **kwargs):
             warnings.warn(
                 "loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning
@@ -949,8 +960,10 @@ class TestEdgeListFormat:
             return np.array([[3, 1], [0, 1]], dtype=np.int64)
 
         monkeypatch.setattr(np, "loadtxt", via_float)
-        with pytest.raises(EdgeListParseError):
+        with pytest.raises(EdgeListParseError) as got:
             _parse_with_numpy("3 1\n0 1.5\n")
+        message = "malformed edge list: invalid literal for int() with base 10: '1.5'"
+        assert type(got.value) is EdgeListParseError and str(got.value) == message
 
     def test_connected_rejects_too_few_edges_before_allocating(self):
         for parse in (parse_edge_list, *PARSERS):
@@ -979,7 +992,7 @@ class TestEdgeListFormat:
     def test_faults_anywhere_in_a_text_of_many_chunks(self, faults, winner):
         # the list parse reads its text in chunks, yet every text error still
         # comes before any edge error, and the first faulty edge in input
-        # order is named
+        # order is named; the numpy parse raises the same error and message
         rows = fault_rows(sparse_text())
         lines = sparse_text().split("\n")
         raised = {}
@@ -987,12 +1000,10 @@ class TestEdgeListFormat:
             raised[kind, row] = put_fault(lines, rows[row], kind)
         error, message = raised[faults[winner]]
         text = "\n".join(lines)
-        for parse in (_parse_with_lists, parse_edge_list):
+        for parse in (_parse_with_lists, parse_edge_list, _parse_with_numpy):
             with pytest.raises(GraphInputError) as got:
                 parse(text)
             assert (type(got.value), str(got.value)) == (error, message)
-        with pytest.raises(error):
-            _parse_with_numpy(text)
 
     @pytest.mark.parametrize("faults, winner, padded", GRAMMAR_FAULTS, ids=GRAMMAR_FAULT_IDS)
     def test_faults_anywhere_in_a_text_the_token_pattern_checks(self, faults, winner, padded):
@@ -1011,7 +1022,7 @@ class TestEdgeListFormat:
         if message.startswith("malformed edge list: invalid literal"):
             message = "malformed edge list: a token is no decimal integer"
         text = "\n".join(lines)
-        for parse in (_parse_with_lists, parse_edge_list):
+        for parse in (_parse_with_lists, parse_edge_list, _parse_with_numpy):
             with pytest.raises(GraphInputError) as got:
                 parse(text)
             assert (type(got.value), str(got.value)) == (error, message)
